@@ -294,7 +294,72 @@ std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
     util::ThreadPool* pool) const {
   std::vector<ClassificationOutcome> outcomes(docs.size());
   auto score = [&](size_t i) { outcomes[i] = Classify(*docs[i]); };
-  if (pool == nullptr || pool->size() <= 1) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < docs.size(); ++i) score(i);
+  } else {
+    pool->ParallelFor(docs.size(), score);
+  }
+  return outcomes;
+}
+
+ClassificationOutcome Classifier::ClassifyAmong(
+    const xml::Document& doc, const std::vector<std::string>& names) const {
+  ClassificationOutcome outcome;
+  const bool prune = classifier_options_.enable_pruning;
+  std::vector<int32_t> root_symbol_ids;
+  if (prune && doc.has_root()) {
+    root_symbol_ids = validate::ContentSymbolIds(doc.root());
+  }
+  // Built on the first exact score, then shared by every later DTD.
+  std::optional<similarity::SubtreeFingerprints> fingerprints;
+  const std::string* best_name = nullptr;
+  double best_score = 0.0;
+  for (const std::string& name : names) {
+    if (dtds_.find(name) == dtds_.end()) continue;
+    const similarity::SimilarityEvaluator& evaluator = EvaluatorFor(name);
+    // A DTD that provably cannot reach σ cannot be the winner of a
+    // classified outcome, and nothing else of an unclassified one is
+    // used; the slack keeps bound-vs-exact rounding from skipping a
+    // DTD that scores exactly σ.
+    if (prune && evaluator.ScoreUpperBound(doc, root_symbol_ids) <
+                     sigma_ - kPruneSlack) {
+      if (metrics_.evaluations_pruned != nullptr) {
+        metrics_.evaluations_pruned->Increment();
+      }
+      continue;
+    }
+    if (!fingerprints && effective_cache() != nullptr && doc.has_root()) {
+      fingerprints.emplace(doc.root());
+    }
+    const double score = evaluator.DocumentSimilarity(
+        doc, fingerprints ? &*fingerprints : nullptr);
+    if (metrics_.similarity_evaluations != nullptr) {
+      metrics_.similarity_evaluations->Increment();
+    }
+    // The tie-break of `Classify`.
+    if (best_name == nullptr || score > best_score ||
+        (score == best_score && name < *best_name)) {
+      best_score = score;
+      best_name = &name;
+    }
+  }
+  if (best_name != nullptr) {
+    outcome.dtd_name = *best_name;
+    outcome.similarity = best_score;
+  }
+  outcome.classified = best_name != nullptr && best_score >= sigma_;
+  if (metrics_.documents_scored != nullptr) {
+    metrics_.documents_scored->Increment();
+  }
+  return outcome;
+}
+
+std::vector<ClassificationOutcome> Classifier::ClassifyBatchAmong(
+    const std::vector<const xml::Document*>& docs,
+    const std::vector<std::string>& names, util::ThreadPool* pool) const {
+  std::vector<ClassificationOutcome> outcomes(docs.size());
+  auto score = [&](size_t i) { outcomes[i] = ClassifyAmong(*docs[i], names); };
+  if (pool == nullptr) {
     for (size_t i = 0; i < docs.size(); ++i) score(i);
   } else {
     pool->ParallelFor(docs.size(), score);

@@ -31,7 +31,8 @@ struct ClassifierMetrics {
   /// One increment per document × DTD similarity evaluation.
   obs::Counter* similarity_evaluations = nullptr;
   /// One increment per document × DTD evaluation skipped because its
-  /// score bound could not beat the best score already found.
+  /// score bound could not beat the best score already found (or, in
+  /// `ClassifyAmong`, could not reach σ).
   obs::Counter* evaluations_pruned = nullptr;
   /// Shared subtree score cache traffic (see SubtreeScoreCache).
   obs::Counter* cache_hits = nullptr;
@@ -193,10 +194,29 @@ class Classifier {
       const std::vector<const xml::Document*>& docs, size_t jobs) const;
   /// Scores on an existing pool so repeated rounds (the chunks of
   /// `XmlSource::ProcessBatch`) don't respawn threads; `pool == nullptr`
-  /// scores inline.
+  /// scores inline, otherwise the calling thread scores alongside the
+  /// pool's workers.
   std::vector<ClassificationOutcome> ClassifyBatch(
       const std::vector<const xml::Document*>& docs,
       util::ThreadPool* pool) const;
+
+  /// Classifies `doc` against the registered DTDs among `names` only
+  /// (unknown names are ignored), with the σ threshold and tie-break of
+  /// `Classify`. Re-classification uses it to score the repository
+  /// against just the DTDs that changed since its last pass: a
+  /// repository document already scored below σ against every other
+  /// DTD, so whenever the full-set outcome is classified this one is
+  /// identical to it (`classified`, `dtd_name`, `similarity`). An
+  /// unclassified outcome says only that no DTD of `names` reaches σ —
+  /// its `dtd_name` / `similarity` are relative to `names`, and a DTD
+  /// whose score bound is below σ is skipped without an exact score.
+  /// `scores` stays empty and the memo is neither read nor written.
+  ClassificationOutcome ClassifyAmong(
+      const xml::Document& doc, const std::vector<std::string>& names) const;
+  /// `ClassifyAmong` over a batch, on `pool` like `ClassifyBatch`.
+  std::vector<ClassificationOutcome> ClassifyBatchAmong(
+      const std::vector<const xml::Document*>& docs,
+      const std::vector<std::string>& names, util::ThreadPool* pool) const;
 
   /// Similarity of `doc` against one registered DTD; nullopt when `name`
   /// is unknown (distinguishable from a genuine zero score).

@@ -39,6 +39,7 @@ Status XmlSource::AddDtd(const std::string& name, dtd::Dtd dtd) {
                         metrics_.elements_recorded);
   recorders_.emplace(name, std::move(recorder));
   instances_.emplace(name, std::vector<xml::Document>());
+  changed_dtds_.insert(name);
   return Status::Ok();
 }
 
@@ -57,6 +58,7 @@ Status XmlSource::RestoreExtended(const std::string& name,
   recorder->set_metrics(metrics_.documents_recorded,
                         metrics_.elements_recorded);
   recorders_[name] = std::move(recorder);
+  changed_dtds_.insert(name);
   return Status::Ok();
 }
 
@@ -68,6 +70,9 @@ void XmlSource::RestoreCounters(uint64_t processed, uint64_t classified,
 }
 
 void XmlSource::RestoreRepositoryDoc(int id, xml::Document doc) {
+  // Which DTDs this document was already scored against is not part of
+  // the restored state, so the next pass scores it against all of them.
+  for (const auto& [name, ext] : dtds_) changed_dtds_.insert(name);
   repository_.Restore(id, std::move(doc));
   if (options_.cluster_repository) {
     clusterer_.Add(id, repository_.Get(id));
@@ -102,7 +107,7 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::Document doc) {
   classify::ClassificationOutcome classification = classifier_.Classify(doc);
   PendingDocument pending;
   pending.dom.emplace(std::move(doc));
-  return ApplyClassification(std::move(pending), classification, /*jobs=*/1);
+  return ApplyClassification(std::move(pending), classification, nullptr);
 }
 
 XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
@@ -110,12 +115,13 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
   pending.arena = &doc;
   classify::ClassificationOutcome classification =
       classifier_.ClassifyArena(doc, &pending.dom);
-  return ApplyClassification(std::move(pending), classification, /*jobs=*/1);
+  return ApplyClassification(std::move(pending), classification, nullptr);
 }
 
 XmlSource::ProcessOutcome XmlSource::ApplyClassification(
     PendingDocument doc,
-    const classify::ClassificationOutcome& classification, size_t jobs) {
+    const classify::ClassificationOutcome& classification,
+    util::ThreadPool* pool) {
   ProcessOutcome outcome;
   const uint64_t index = documents_processed_++;
   if (metrics_.documents_processed != nullptr) {
@@ -173,7 +179,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
       AfterEvolution(name, result);
       outcome.evolved = true;
       if (options_.reclassify_after_evolution) {
-        outcome.reclassified = ReclassifyRepository(jobs);
+        outcome.reclassified = ReclassifyRepository(pool);
       }
       break;
     }
@@ -191,7 +197,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
       AfterEvolution(name, result);
       outcome.evolved = true;
       if (options_.reclassify_after_evolution) {
-        outcome.reclassified = ReclassifyRepository(jobs);
+        outcome.reclassified = ReclassifyRepository(pool);
       }
     }
   }
@@ -201,22 +207,23 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     std::vector<xml::Document> docs, size_t jobs) {
   if (jobs == 0) jobs = util::ThreadPool::DefaultJobs();
-  // One pool for the whole batch; chunks reuse its workers.
+  // One pool for the whole batch; chunks reuse its workers, and the
+  // calling thread is one of the `jobs`.
   std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && docs.size() > 1) pool.emplace(jobs);
+  if (jobs > 1 && docs.size() > 1) pool.emplace(jobs - 1);
   return ProcessBatch(std::move(docs), pool ? &*pool : nullptr);
 }
 
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     std::vector<xml::Document> docs, util::ThreadPool* pool) {
-  const size_t jobs = pool != nullptr && pool->size() > 1 ? pool->size() : 1;
+  const size_t threads = pool != nullptr ? pool->size() + 1 : 1;
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
   // Score a chunk in parallel, then apply serially in input order. The
   // chunk bounds the speculation: an evolution invalidates the scores of
   // the documents after it, which are then re-scored against the evolved
   // DTD set — exactly what sequential `Process` would have seen.
-  const size_t chunk = std::max<size_t>(32, 16 * jobs);
+  const size_t chunk = std::max<size_t>(32, 16 * threads);
   size_t i = 0;
   while (i < docs.size()) {
     const size_t end = std::min(docs.size(), i + chunk);
@@ -230,7 +237,7 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
       PendingDocument pending;
       pending.dom.emplace(std::move(docs[j]));
       outcomes.push_back(ApplyClassification(std::move(pending),
-                                             classifications[j - i], jobs));
+                                             classifications[j - i], pool));
       ++applied;
       if (outcomes.back().evolved) break;  // remaining scores are stale
     }
@@ -253,7 +260,7 @@ StatusOr<XmlSource::ProcessOutcome> XmlSource::ProcessText(
 
 std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool) {
-  const size_t jobs = pool != nullptr && pool->size() > 1 ? pool->size() : 1;
+  const size_t threads = pool != nullptr ? pool->size() + 1 : 1;
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
   // Same chunked speculation as the DOM batch, with a memo split in
@@ -261,7 +268,7 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
   // only the misses of the chunk are materialized and batch-scored.
   // An evolution bumps the set-epoch, so the re-probed remainder of the
   // chunk correctly misses against the evolved set.
-  const size_t chunk = std::max<size_t>(32, 16 * jobs);
+  const size_t chunk = std::max<size_t>(32, 16 * threads);
   std::vector<std::optional<classify::ClassificationOutcome>> replayed;
   std::vector<std::optional<xml::Document>> materialized;
   size_t i = 0;
@@ -292,7 +299,7 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
       doc.arena = &docs[j];
       doc.dom = std::move(materialized[j - i]);
       outcomes.push_back(
-          ApplyClassification(std::move(doc), *replayed[j - i], jobs));
+          ApplyClassification(std::move(doc), *replayed[j - i], pool));
       ++applied;
       if (outcomes.back().evolved) break;  // remaining scores are stale
     }
@@ -306,6 +313,7 @@ void XmlSource::AfterEvolution(const std::string& name,
   ++evolutions_performed_;
   if (metrics_.evolutions != nullptr) metrics_.evolutions->Increment();
   classifier_.Invalidate(name);
+  changed_dtds_.insert(name);
   auto recorder = std::make_unique<evolve::Recorder>(dtds_.at(name));
   recorder->set_metrics(metrics_.documents_recorded,
                         metrics_.elements_recorded);
@@ -416,6 +424,13 @@ const induce::Candidate* XmlSource::FindCandidate(uint64_t id) const {
 
 StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(uint64_t id,
                                                               size_t jobs) {
+  std::optional<util::ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs - 1);
+  return AcceptCandidate(id, pool ? &*pool : nullptr);
+}
+
+StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(
+    uint64_t id, util::ThreadPool* pool) {
   auto it = std::find_if(candidates_.begin(), candidates_.end(),
                          [id](const induce::Candidate& candidate) {
                            return candidate.id == id;
@@ -434,7 +449,7 @@ StatusOr<XmlSource::AcceptOutcome> XmlSource::AcceptCandidate(uint64_t id,
   // retired; ids are never reused.
   candidates_.clear();
   DTDEVOLVE_RETURN_IF_ERROR(
-      AdoptInducedDtd(outcome.dtd_name, std::move(ext), jobs,
+      AdoptInducedDtd(outcome.dtd_name, std::move(ext), pool,
                       &outcome.reclassified));
   return outcome;
 }
@@ -457,7 +472,8 @@ Status XmlSource::RejectCandidate(uint64_t id) {
 }
 
 Status XmlSource::AdoptInducedDtd(const std::string& name,
-                                  evolve::ExtendedDtd ext, size_t jobs,
+                                  evolve::ExtendedDtd ext,
+                                  util::ThreadPool* pool,
                                   size_t* reclassified) {
   DTDEVOLVE_RETURN_IF_ERROR(RegisterInducedDtd(name, std::move(ext)));
   ++candidates_accepted_;
@@ -467,7 +483,7 @@ Status XmlSource::AdoptInducedDtd(const std::string& name,
   events_.push_back({SourceEvent::Kind::kDtdInduced, name, 0.0,
                      documents_processed_ == 0 ? 0 : documents_processed_ - 1,
                      ""});
-  const size_t recovered = ReclassifyRepository(jobs);
+  const size_t recovered = ReclassifyRepository(pool);
   if (reclassified != nullptr) *reclassified = recovered;
   return Status::Ok();
 }
@@ -485,19 +501,28 @@ Status XmlSource::RegisterInducedDtd(const std::string& name,
                         metrics_.elements_recorded);
   recorders_.emplace(name, std::move(recorder));
   instances_.emplace(name, std::vector<xml::Document>());
+  changed_dtds_.insert(name);
   return Status::Ok();
 }
 
-size_t XmlSource::ReclassifyRepository(size_t jobs) {
+size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
+  // Every repository document scored below σ against every DTD outside
+  // `changed_dtds_` (when it was added, or in an earlier pass), so only
+  // the changed DTDs can claim it now — and whenever one does, it is the
+  // winner a full-set classification would pick.
+  const std::vector<std::string> changed(changed_dtds_.begin(),
+                                         changed_dtds_.end());
+  changed_dtds_.clear();
+  if (changed.empty()) return 0;
   // The classifier does not change while we record, so all repository
-  // documents can be scored up front — in parallel when jobs > 1 — and
-  // the serial recording pass below matches the sequential behavior.
+  // documents can be scored up front — in parallel on `pool` — and the
+  // serial recording pass below matches the sequential behavior.
   const std::vector<int> ids = repository_.Ids();
   std::vector<const xml::Document*> docs;
   docs.reserve(ids.size());
   for (int id : ids) docs.push_back(&repository_.Get(id));
   const std::vector<classify::ClassificationOutcome> classifications =
-      classifier_.ClassifyBatch(docs, jobs);
+      classifier_.ClassifyBatchAmong(docs, changed, pool);
 
   size_t recovered = 0;
   for (size_t k = 0; k < ids.size(); ++k) {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -140,8 +141,8 @@ class XmlSource {
   StatusOr<ProcessOutcome> ProcessText(std::string_view xml_text);
 
   /// Batch variant of `Process`: scores documents against the DTD set
-  /// concurrently on `jobs` threads (0 ⇒ hardware concurrency, ≤ 1 ⇒
-  /// inline), then applies recording / check / evolution serially in
+  /// concurrently on `jobs` threads in total (0 ⇒ hardware concurrency,
+  /// ≤ 1 ⇒ inline), then applies recording / check / evolution serially in
   /// input order. Scoring is speculative: when an evolution fires
   /// mid-batch the not-yet-applied scores are stale and the remainder of
   /// the batch is re-scored against the evolved set, so the outcomes —
@@ -155,9 +156,10 @@ class XmlSource {
                                            size_t jobs = 0);
 
   /// `ProcessBatch` on a caller-owned pool, so a long-running server can
-  /// share one pool across every ingest batch instead of respawning
-  /// threads. `pool == nullptr` (or a pool of one worker) scores inline;
-  /// outcomes are identical either way.
+  /// share one pool across every ingest batch (and the re-classification
+  /// passes they trigger) instead of respawning threads. The calling
+  /// thread scores alongside the pool's workers; `pool == nullptr` scores
+  /// inline. Outcomes are identical either way.
   std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
                                            util::ThreadPool* pool);
 
@@ -230,12 +232,16 @@ class XmlSource {
   };
 
   /// Promotes candidate `id` into the live DTD set and re-classifies the
-  /// repository against the grown set (`jobs` threads for scoring; the
-  /// outcome is jobs-independent). Every other pending candidate is
-  /// discarded — the set changed under them, so their membership and
-  /// margins are stale; run `InduceCandidates` again for fresh ones.
-  /// Fails with `kNotFound` for an unknown id.
-  StatusOr<AcceptOutcome> AcceptCandidate(uint64_t id, size_t jobs = 1);
+  /// repository against the grown set (scoring on `pool` as in
+  /// `ProcessBatch`; the outcome is pool-independent). Every other
+  /// pending candidate is discarded — the set changed under them, so
+  /// their membership and margins are stale; run `InduceCandidates`
+  /// again for fresh ones. Fails with `kNotFound` for an unknown id.
+  StatusOr<AcceptOutcome> AcceptCandidate(uint64_t id,
+                                          util::ThreadPool* pool = nullptr);
+  /// `AcceptCandidate` on `jobs` scoring threads in total, for one-shot
+  /// callers without a pool of their own (≤ 1 ⇒ inline).
+  StatusOr<AcceptOutcome> AcceptCandidate(uint64_t id, size_t jobs);
 
   /// Drops candidate `id`; `kNotFound` when unknown.
   Status RejectCandidate(uint64_t id);
@@ -245,7 +251,8 @@ class XmlSource {
   /// replay (store/checkpoint.cc) reproduces an accept record exactly:
   /// same event, same counters, same repository drain.
   Status AdoptInducedDtd(const std::string& name, evolve::ExtendedDtd ext,
-                         size_t jobs = 1, size_t* reclassified = nullptr);
+                         util::ThreadPool* pool = nullptr,
+                         size_t* reclassified = nullptr);
 
   /// Registration half of `AdoptInducedDtd` only — no event, no
   /// re-classification. Checkpoint recovery uses this to reinstate an
@@ -269,10 +276,14 @@ class XmlSource {
   /// when the name is unknown.
   std::optional<evolve::EvolutionResult> ForceEvolve(const std::string& name);
   /// Re-classifies repository documents against the current DTD set;
-  /// returns how many were recovered. Scoring runs on `jobs` threads
-  /// (≤ 1 ⇒ inline); recording is applied serially in ascending-id order
-  /// either way, so the result does not depend on `jobs`.
-  size_t ReclassifyRepository(size_t jobs = 1);
+  /// returns how many were recovered. Only the DTDs added, restored or
+  /// evolved since the previous pass are scored (every DTD after a
+  /// repository restore), which recovers exactly the documents a
+  /// full-set pass would: a document still in the repository scored
+  /// below σ against every other DTD. Scoring runs on `pool` as in
+  /// `ProcessBatch`; recording is applied serially in ascending-id order
+  /// either way, so the result does not depend on the pool.
+  size_t ReclassifyRepository(util::ThreadPool* pool = nullptr);
 
   /// Drops the given documents from the repository (quota enforcement
   /// and replay of the eviction WAL record). Ids not present are skipped
@@ -297,11 +308,12 @@ class XmlSource {
   };
 
   /// The record / check / evolve tail of `Process`, fed a precomputed
-  /// classification. `jobs` is forwarded to the repository re-scoring
+  /// classification. `pool` is forwarded to the repository re-scoring
   /// that may follow an evolution.
   ProcessOutcome ApplyClassification(
       PendingDocument doc,
-      const classify::ClassificationOutcome& classification, size_t jobs);
+      const classify::ClassificationOutcome& classification,
+      util::ThreadPool* pool);
 
   void AfterEvolution(const std::string& name,
                       const evolve::EvolutionResult& result);
@@ -313,6 +325,9 @@ class XmlSource {
   std::map<std::string, std::vector<xml::Document>> instances_;
   classify::Classifier classifier_;
   classify::Repository repository_;
+  /// DTDs added, restored or evolved since the last re-classification
+  /// pass — the only ones that pass scores the repository against.
+  std::set<std::string> changed_dtds_;
   induce::RepositoryClusterer clusterer_;
   std::vector<induce::Candidate> candidates_;
   uint64_t next_candidate_id_ = 1;

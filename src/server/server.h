@@ -30,8 +30,9 @@ struct ServerOptions {
   /// Tenant shard names (see SourceManagerOptions::tenants). Empty runs
   /// a single backward-compatible "default" tenant.
   std::vector<std::string> tenants;
-  /// Scoring threads; one `util::ThreadPool` is shared across every
-  /// tenant shard for the server's lifetime.
+  /// Scoring threads per apply: the applying thread plus a
+  /// `util::ThreadPool` of `jobs − 1` workers shared across every tenant
+  /// shard for the server's lifetime.
   size_t jobs = 1;
   /// Pending ingest documents per shard before `POST /ingest` answers
   /// 503 with a `Retry-After` header — the backpressure bound.

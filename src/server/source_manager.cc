@@ -323,6 +323,15 @@ void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
       "dtdevolve_ingest_batch_seconds",
       "Seconds spent in one ProcessBatch round",
       obs::Histogram::DefaultLatencyBounds(), labels);
+  shard.inline_applies = &registry->GetCounter(
+      "dtdevolve_ingest_inline_applies_total",
+      "Documents applied by the receiving thread because their shard was "
+      "idle (the rest are applied by the shard worker)",
+      labels);
+  shard.inline_apply_seconds = &registry->GetHistogram(
+      "dtdevolve_ingest_inline_apply_seconds",
+      "Seconds one inline apply holds the receiving thread",
+      obs::Histogram::DefaultLatencyBounds(), labels);
   shard.degraded = &registry->GetGauge(
       "dtdevolve_degraded",
       "1 while ingest is rejected because the write-ahead log cannot be "
@@ -486,7 +495,9 @@ Status SourceManager::Start(obs::Registry* registry) {
     DTDEVOLVE_RETURN_IF_ERROR(StartShard(*shard, registry));
   }
 
-  pool_.emplace(options_.jobs);
+  // The thread that applies a batch scores alongside the pool, so `jobs`
+  // scoring threads need jobs − 1 pool workers.
+  if (options_.jobs > 1) pool_.emplace(options_.jobs - 1);
   checkpoint_stop_ = false;
   for (const auto& shard : shards_) {
     shard->draining = false;
@@ -557,6 +568,7 @@ SourceManager::EnqueueResult SourceManager::EnqueuePending(
   if (wait) pending.waiter = std::make_shared<IngestWaiter>();
   result.waiter = pending.waiter;
 
+  bool apply_inline = false;
   {
     // Spans capacity check → WAL append → enqueue: concurrent ingests
     // into THIS shard serialize here, so its queue (and therefore its
@@ -619,39 +631,81 @@ SourceManager::EnqueueResult SourceManager::EnqueuePending(
       NoteWalSuccess(*shard);
       pending.lsn = *lsn;
     }
-    {
-      std::lock_guard<std::mutex> lock(shard->queue_mutex);
+    std::lock_guard<std::mutex> lock(shard->queue_mutex);
+    // Run to completion: with nothing queued ahead of this document and
+    // nothing being applied, every lower LSN is already applied, so this
+    // thread applies the document itself — no hand-off to the worker and
+    // back. Otherwise it joins the backlog in LSN order.
+    if (!shard->paused && !shard->draining && !shard->applying &&
+        shard->queue.empty()) {
+      shard->applying = true;
+      apply_inline = true;
+    } else {
       shard->queue.push_back(std::move(pending));
       shard->queue_depth->Set(static_cast<double>(shard->queue.size()));
     }
   }
-  shard->queue_cv.notify_all();
+  if (apply_inline) {
+    ApplyInline(*shard, std::move(pending));
+  } else {
+    shard->queue_cv.notify_all();
+  }
   return result;
 }
 
+void SourceManager::ApplyInline(Shard& shard, PendingDoc pending) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<PendingDoc> batch;
+  batch.push_back(std::move(pending));
+  const std::vector<core::XmlSource::ProcessOutcome> outcomes =
+      ProcessPending(shard, batch);
+  shard.inline_apply_seconds->Observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  shard.inline_applies->Increment();
+  bool backlog = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.queue_mutex);
+    shard.applying = false;
+    backlog = !shard.queue.empty() || shard.draining;
+  }
+  if (backlog) shard.queue_cv.notify_all();
+  CompleteWaiters(batch, outcomes);
+}
+
 void SourceManager::IngestWorker(Shard& shard) {
+  std::unique_lock<std::mutex> lock(shard.queue_mutex);
   for (;;) {
+    shard.queue_cv.wait(lock, [&shard] {
+      return !shard.applying &&
+             (shard.draining || (!shard.paused && !shard.queue.empty()));
+    });
+    if (shard.queue.empty()) return;  // draining, and nothing left
+    const size_t take = std::min(shard.queue.size(), options_.batch_max);
     std::vector<PendingDoc> pending;
-    {
-      std::unique_lock<std::mutex> lock(shard.queue_mutex);
-      shard.queue_cv.wait(lock, [&shard] {
-        return shard.draining || (!shard.paused && !shard.queue.empty());
-      });
-      if (shard.queue.empty() && shard.draining) return;
-      const size_t take = std::min(shard.queue.size(), options_.batch_max);
-      pending.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        pending.push_back(std::move(shard.queue.front()));
-        shard.queue.pop_front();
-      }
-      shard.queue_depth->Set(static_cast<double>(shard.queue.size()));
+    pending.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      pending.push_back(std::move(shard.queue.front()));
+      shard.queue.pop_front();
     }
-    if (!pending.empty()) ProcessPending(shard, std::move(pending));
+    shard.queue_depth->Set(static_cast<double>(shard.queue.size()));
+    shard.applying = true;
+    lock.unlock();
+    const std::vector<core::XmlSource::ProcessOutcome> outcomes =
+        ProcessPending(shard, pending);
+    lock.lock();
+    shard.applying = false;
+    // Waiters hear back only once the shard is released, so a producer
+    // woken by its answer finds the shard idle and applies its next
+    // document itself instead of queueing it behind this worker.
+    lock.unlock();
+    CompleteWaiters(pending, outcomes);
+    lock.lock();
   }
 }
 
-void SourceManager::ProcessPending(Shard& shard,
-                                   std::vector<PendingDoc> pending) {
+std::vector<core::XmlSource::ProcessOutcome> SourceManager::ProcessPending(
+    Shard& shard, std::vector<PendingDoc>& pending) {
   // All-arena batches (the streaming default) drain through the
   // memo-first arena ProcessBatch; a mixed or DOM batch falls back to
   // the DOM path, converting any stray arena documents. Outcomes are
@@ -709,9 +763,17 @@ void SourceManager::ProcessPending(Shard& shard,
   shard.batch_seconds->Observe(
       std::chrono::duration<double>(now - batch_start).count());
 
-  for (size_t i = 0; i < pending.size(); ++i) {
+  for (const PendingDoc& item : pending) {
     shard.ingest_seconds->Observe(
-        std::chrono::duration<double>(now - pending[i].enqueued).count());
+        std::chrono::duration<double>(now - item.enqueued).count());
+  }
+  return outcomes;
+}
+
+void SourceManager::CompleteWaiters(
+    const std::vector<PendingDoc>& pending,
+    const std::vector<core::XmlSource::ProcessOutcome>& outcomes) {
+  for (size_t i = 0; i < pending.size(); ++i) {
     if (pending[i].waiter != nullptr) {
       IngestWaiter& waiter = *pending[i].waiter;
       std::function<void()> on_done;
@@ -1044,7 +1106,7 @@ StatusOr<core::XmlSource::AcceptOutcome> SourceManager::AcceptCandidate(
     NoteWalSuccess(*shard);
     shard->applied_lsn = *lsn;
   }
-  return shard->source->AcceptCandidate(id, options_.jobs);
+  return shard->source->AcceptCandidate(id, pool_ ? &*pool_ : nullptr);
 }
 
 Status SourceManager::RejectCandidate(const std::string& tenant, uint64_t id) {

@@ -75,7 +75,8 @@ struct SourceManagerOptions {
   /// and gives each shard its own `<dir>/<tenant>/` subdirectory, i.e.
   /// its own WAL + checkpoint lineage.
   std::vector<std::string> tenants;
-  /// Scoring threads of the process-wide pool shared by every shard.
+  /// Scoring threads per apply: the applying thread plus `jobs − 1`
+  /// workers of the process-wide pool shared by every shard.
   size_t jobs = 1;
   /// Per-shard pending-document bound (backpressure).
   size_t queue_capacity = 256;
@@ -117,9 +118,11 @@ struct SourceManagerOptions {
 
 /// Owns N independent `XmlSource` shards — one per tenant — and runs
 /// the full per-shard pipeline lifecycle that used to live inside
-/// `IngestServer`: recovery on `Start`, a bounded ingest queue drained
-/// by a dedicated worker per shard, periodic checkpointing, graceful
-/// drain, and snapshot/checkpoint on shutdown.
+/// `IngestServer`: recovery on `Start`, run-to-completion ingest (the
+/// enqueuing thread applies a document itself when its shard is idle)
+/// with a bounded queue drained by a dedicated worker per shard for the
+/// backlog that builds while the shard is busy, periodic checkpointing,
+/// graceful drain, and snapshot/checkpoint on shutdown.
 ///
 /// What is per shard (fully independent between tenants):
 ///   * the `XmlSource` (DTD set, repository, counters),
@@ -130,8 +133,9 @@ struct SourceManagerOptions {
 ///   * the per-DTD ingest/evolution tallies and recovery report.
 ///
 /// What is shared process-wide:
-///   * the scoring `ThreadPool` (`ParallelFor` tracks completion per
-///     call, so concurrent shard batches don't starve each other),
+///   * the scoring `ThreadPool` of `jobs − 1` workers, which help the
+///     applying thread (`ParallelFor` tracks completion per call, so
+///     concurrent shard batches don't starve each other),
 ///   * the `SymbolTable` label interner (process-global by design),
 ///   * one `SubtreeScoreCache` — safe across shards because entries are
 ///     keyed by evaluator epoch, and epochs are globally unique.
@@ -143,10 +147,11 @@ class SourceManager {
  public:
   /// Completion channel of a `wait`-mode enqueue. A caller may either
   /// block on `cv` or register `on_done` (under `mutex`, after checking
-  /// `done` — the outcome may already have landed): the worker invokes
-  /// it exactly once, outside the lock, after publishing the outcome.
-  /// The event-loop server uses the callback so a wait-mode ingest never
-  /// parks the loop thread.
+  /// `done` — the outcome may already have landed, and has whenever
+  /// `Enqueue` applied the document inline): the worker invokes it
+  /// exactly once, outside the lock, after publishing the outcome. The
+  /// event-loop server uses the callback so a queued wait-mode ingest
+  /// never parks the loop thread.
   struct IngestWaiter {
     std::mutex mutex;
     std::condition_variable cv;
@@ -239,7 +244,9 @@ class SourceManager {
 
   bool started() const { return started_; }
 
-  /// Pauses / resumes every shard worker between batches.
+  /// Pauses / resumes applying on every shard, between batches: while
+  /// paused, every document queues (none is applied inline) until
+  /// `ResumeIngest` hands the backlog to the worker.
   void PauseIngest();
   void ResumeIngest();
 
@@ -248,7 +255,10 @@ class SourceManager {
   /// literally named "default" it goes there; otherwise the root
   /// element tag picks a shard on a consistent-hash ring (stable under
   /// tenant-set growth for most keys). `raw_body` is what the WAL
-  /// records (replay re-parses it).
+  /// records (replay re-parses it). When the shard is idle — not paused
+  /// or draining, nothing queued, nothing being applied — the calling
+  /// thread applies the document before returning (a `wait` waiter is
+  /// then already done); otherwise the document queues for the worker.
   EnqueueResult Enqueue(const std::string& tenant, xml::Document doc,
                         const std::string& raw_body, bool wait);
   /// Streaming twin: enqueues an arena-parsed document. The worker
@@ -480,6 +490,11 @@ class SourceManager {
     std::deque<PendingDoc> queue;
     bool paused = false;
     bool draining = false;
+    /// True while some thread — the worker, or a producer applying its
+    /// own document inline — is applying documents of this shard. Only
+    /// its holder applies, which keeps apply order equal to LSN order.
+    /// Guarded by `queue_mutex`.
+    bool applying = false;
     std::thread worker;
 
     // Hot-path metric handles (tenant-labeled unless backcompat).
@@ -491,6 +506,8 @@ class SourceManager {
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* ingest_seconds = nullptr;
     obs::Histogram* batch_seconds = nullptr;
+    obs::Counter* inline_applies = nullptr;
+    obs::Histogram* inline_apply_seconds = nullptr;
     obs::Gauge* degraded = nullptr;
     obs::Counter* checkpoints = nullptr;
     obs::Counter* checkpoint_errors = nullptr;
@@ -525,7 +542,18 @@ class SourceManager {
   Status SnapshotShard(Shard& shard);
   Status CheckpointShard(Shard& shard, uint64_t* captured_lsn);
   void IngestWorker(Shard& shard);
-  void ProcessPending(Shard& shard, std::vector<PendingDoc> pending);
+  /// Applies one document on the calling thread, which holds `applying`
+  /// (set by `EnqueuePending`), then releases it, wakes the worker if a
+  /// backlog built up meanwhile, and completes the document's waiter.
+  void ApplyInline(Shard& shard, PendingDoc pending);
+  /// Applies `pending` (its documents are moved out) to the shard's
+  /// source, in order; the caller holds `applying`.
+  std::vector<core::XmlSource::ProcessOutcome> ProcessPending(
+      Shard& shard, std::vector<PendingDoc>& pending);
+  /// Publishes each outcome to its document's waiter, if any.
+  static void CompleteWaiters(
+      const std::vector<PendingDoc>& pending,
+      const std::vector<core::XmlSource::ProcessOutcome>& outcomes);
   void CheckpointLoop();
   /// Notes a WAL append failure on `shard`: increments the consecutive
   /// failure count and walks the health state machine.

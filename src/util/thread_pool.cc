@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace dtdevolve::util {
 
@@ -76,30 +78,46 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  const size_t workers = size() < n ? size() : n;
-  if (workers == 0) {  // pool already shut down: degrade to inline
+  // The caller claims iterations too, so at most n − 1 helpers are
+  // useful; a one-item call (a single memo miss) never leaves this
+  // thread.
+  const size_t helpers = std::min(size(), n - 1);
+  if (helpers == 0) {  // one item, or a pool already shut down
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
   // Per-call completion tracking instead of the pool-wide Wait():
   // several callers (one per tenant shard) share one pool, and a global
-  // drain barrier would let one caller's batch block on another's.
-  std::atomic<size_t> next{0};
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  size_t remaining = workers;
-  for (size_t w = 0; w < workers; ++w) {
-    Submit([&next, &body, n, &done_mutex, &done_cv, &remaining] {
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        body(i);
+  // drain barrier would let one caller's batch block on another's. The
+  // caller waits for its n iterations, not for its helpers: a helper the
+  // pool starts only after every iteration was claimed finds none left
+  // and never touches `body`, so the state it reads is shared-owned
+  // rather than on this frame.
+  struct CallState {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> completed{0};
+    std::mutex mutex;
+    std::condition_variable all_completed;
+  };
+  auto state = std::make_shared<CallState>();
+  const std::function<void(size_t)>* body_ptr = &body;
+  auto run = [n, body_ptr](CallState& call) noexcept {
+    for (size_t i = call.next.fetch_add(1); i < n;
+         i = call.next.fetch_add(1)) {
+      (*body_ptr)(i);
+      if (call.completed.fetch_add(1) + 1 == n) {
+        std::lock_guard<std::mutex> lock(call.mutex);
+        call.all_completed.notify_all();
       }
-      std::unique_lock<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
+    }
+  };
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([state, run] { run(*state); });
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&remaining] { return remaining == 0; });
+  run(*state);
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->all_completed.wait(lock,
+                            [&state, n] { return state->completed == n; });
 }
 
 void ParallelFor(size_t n, size_t jobs,
@@ -110,7 +128,8 @@ void ParallelFor(size_t n, size_t jobs,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(jobs);
+  // The calling thread is one of the `jobs`.
+  ThreadPool pool(jobs - 1);
   pool.ParallelFor(n, body);
 }
 

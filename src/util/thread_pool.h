@@ -50,13 +50,15 @@ class ThreadPool {
   /// above), `ParallelFor` runs inline, `Wait` returns immediately.
   void Shutdown();
 
-  /// Runs `body(i)` for every i in [0, n) on this pool's workers and
-  /// blocks until all iterations finished. Completion is tracked per
-  /// call (not via the pool-wide `Wait`), so several threads may run
-  /// independent `ParallelFor`s on one shared pool concurrently without
-  /// blocking on each other's work. Iterations are claimed dynamically
-  /// from a shared counter; `body` must be safe to call concurrently
-  /// for distinct `i`.
+  /// Runs `body(i)` for every i in [0, n) and blocks until all
+  /// iterations finished. The calling thread claims iterations alongside
+  /// at most `min(size(), n − 1)` pool workers, so a one-item call runs
+  /// entirely on the caller and at most `size() + 1` iterations run at
+  /// once. Completion is tracked per call (not via the pool-wide
+  /// `Wait`), so several threads may run independent `ParallelFor`s on
+  /// one shared pool concurrently without blocking on each other's work.
+  /// Iterations are claimed dynamically from a shared counter; `body`
+  /// must be safe to call concurrently for distinct `i`.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// A sensible default worker count: the hardware concurrency, with a
@@ -76,12 +78,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// One-shot convenience: runs `body(i)` for every i in [0, n) across
-/// `jobs` freshly spawned threads and blocks until all iterations
-/// finished. `jobs <= 1` (or n <= 1) runs inline on the calling thread —
-/// no pool is created, so the sequential path has zero threading
-/// overhead. Callers with several rounds of work should keep one
-/// `ThreadPool` alive and use its `ParallelFor` member instead.
+/// One-shot convenience: runs `body(i)` for every i in [0, n) on `jobs`
+/// threads in total — the calling thread plus `jobs − 1` freshly spawned
+/// helpers — and blocks until all iterations finished. `jobs <= 1` (or
+/// n <= 1) runs inline on the calling thread — no pool is created, so
+/// the sequential path has zero threading overhead. Callers with several
+/// rounds of work should keep one `ThreadPool` alive and use its
+/// `ParallelFor` member instead.
 void ParallelFor(size_t n, size_t jobs,
                  const std::function<void(size_t)>& body);
 

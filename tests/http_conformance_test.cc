@@ -2,7 +2,8 @@
 // pipelining order, read-stall and idle reaping, oversized-header
 // rejection, partial writes under socket-buffer pressure, and the
 // graceful-drain promise that an in-flight keep-alive response is
-// delivered before the connection closes. Multi-threaded end to end
+// delivered before the connection closes, and that no response waits for
+// the client's delayed ACK. Multi-threaded end to end
 // (event loop + ingest workers), hence the `concurrency` ctest label.
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cctype>
@@ -19,6 +21,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/http.h"
 #include "server/server.h"
@@ -407,6 +410,48 @@ TEST(HttpConformanceTest, LargeResponseSurvivesPartialWrites) {
   SendAll(fd, GetRequest("/healthz"));
   EXPECT_EQ(ReadOne(fd, &buf).status, 200);
   ::close(fd);
+
+  server.Shutdown();
+  server.Wait();
+}
+
+TEST(HttpConformanceTest, ResponsesDoNotWaitForTheClientsDelayedAck) {
+  // Nagle's algorithm holds a short segment while an earlier short
+  // segment is unacknowledged, and a client with nothing to send ACKs
+  // late (40 ms on Linux). A keep-alive client that pipelines a request
+  // answered at once with one answered later gets the first response as
+  // a short segment; without TCP_NODELAY the second waits for the ACK.
+  IngestServer server(DefaultSource(), EphemeralOptions());
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const int fd = ConnectTo(server.port());
+  ASSERT_GE(fd, 0);
+  std::string buf;
+  // Request/response ping-pong takes the client socket out of its
+  // start-up quick-ACK mode, as on any long-lived connection.
+  for (int i = 0; i < 20; ++i) {
+    SendAll(fd, GetRequest("/healthz"));
+    ASSERT_EQ(ReadOne(fd, &buf).status, 200);
+  }
+
+  std::vector<double> elapsed_ms;
+  for (int round = 0; round < 10; ++round) {
+    server.PauseIngest();
+    SendAll(fd, GetRequest("/healthz") +
+                    PostRequest("/ingest?wait=1", kConformingDoc));
+    ASSERT_EQ(ReadOne(fd, &buf).status, 200);
+    const auto start = std::chrono::steady_clock::now();
+    server.ResumeIngest();
+    ASSERT_EQ(ReadOne(fd, &buf).status, 200);
+    elapsed_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+  }
+  ::close(fd);
+  // The median, so one scheduling hiccup on a loaded machine cannot fail
+  // the test; a delayed-ACK stall hits every round.
+  std::sort(elapsed_ms.begin(), elapsed_ms.end());
+  EXPECT_LT(elapsed_ms[elapsed_ms.size() / 2], 20.0);
 
   server.Shutdown();
   server.Wait();

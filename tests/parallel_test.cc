@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/source.h"
@@ -215,6 +220,58 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   util::ParallelFor(0, 4, [](size_t) { FAIL() << "no iterations expected"; });
 }
 
+TEST(ThreadPoolTest, ParallelForRunsAOneItemCallOnTheCaller) {
+  util::ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.ParallelFor(1,
+                   [&ran_on](size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, ParallelForRunsAtMostOneMoreThanThePoolAtOnce) {
+  for (size_t workers : {1, 2, 3}) {
+    util::ThreadPool pool(workers);
+    std::atomic<size_t> running{0};
+    std::atomic<size_t> peak{0};
+    std::atomic<size_t> on_caller{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(64, [&](size_t) {
+      const size_t now = running.fetch_add(1) + 1;
+      size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1);
+    });
+    EXPECT_LE(peak.load(), workers + 1) << "workers " << workers;
+    EXPECT_GT(on_caller.load(), 0u) << "workers " << workers;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForABusyPool) {
+  // The only worker is blocked, so the caller claims every iteration;
+  // the helper it submitted starts after the call returned and must find
+  // nothing left to run.
+  util::ThreadPool pool(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool release = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&release] { return release; });
+  });
+  std::vector<int> hits(8, 0);
+  pool.ParallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
+  EXPECT_EQ(hits, std::vector<int>(8, 1));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  pool.Wait();
+}
+
 TEST(ClassifyBatchTest, MatchesSequentialClassifyAtEveryJobsLevel) {
   dtd::Dtd mail = MakeDtd(kMailDtd);
   dtd::Dtd book = MakeDtd(kBookDtd);
@@ -352,7 +409,9 @@ TEST(ProcessBatchTest, ReclassifyRepositoryParallelMatchesSequential) {
     source->ProcessBatch(CloneAll(docs), jobs);
     source->ForceEvolve("mail");
     source->ForceEvolve("book");
-    size_t recovered = source->ReclassifyRepository(jobs);
+    std::optional<util::ThreadPool> pool;
+    if (jobs > 1) pool.emplace(jobs - 1);
+    size_t recovered = source->ReclassifyRepository(pool ? &*pool : nullptr);
     return std::make_pair(std::move(source), recovered);
   };
 

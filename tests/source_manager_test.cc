@@ -1,7 +1,8 @@
 // Multi-tenant suite: the SourceManager shard fabric behind the ingest
 // server — tenant routing over the HTTP surface, shard isolation,
-// consistent anonymous routing, per-tenant metrics labels, and
-// concurrent cross-tenant ingest over a shared thread pool. Heavily
+// consistent anonymous routing, per-tenant metrics labels, concurrent
+// cross-tenant ingest over a shared thread pool, and applies split
+// between producers (idle shard) and the shard worker (backlog). Heavily
 // multi-threaded, so the suite runs under the `concurrency` ctest
 // label for TSan runs.
 
@@ -12,15 +13,24 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dtd/dtd_parser.h"
+#include "dtd/dtd_writer.h"
 #include "server/server.h"
 #include "server/source_manager.h"
+#include "store/wal.h"
+#include "workload/generator.h"
+#include "workload/mutator.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve::server {
 namespace {
@@ -557,6 +567,156 @@ TEST(SourceManagerTest, FloodedTenantCannotStarveItsNeighbor) {
             static_cast<uint64_t>(kVictimDocs));
   // The bucket held: far fewer flood documents were admitted than sent.
   EXPECT_LT(server.source("flood").documents_processed(), 40u);
+}
+
+/// Drifting mail documents as XML text: some classify, some evolve the
+/// DTD, some land in the repository and are recovered later.
+std::vector<std::string> DriftingMailBodies(size_t n, uint64_t seed) {
+  StatusOr<dtd::Dtd> mail = dtd::ParseDtd(kMailDtd);
+  EXPECT_TRUE(mail.ok());
+  workload::DocumentGenerator generator(*mail, workload::GeneratorOptions(),
+                                        seed);
+  workload::MutationOptions mutation;
+  mutation.drop_probability = 0.3;
+  mutation.insert_probability = 0.6;
+  mutation.duplicate_probability = 0.3;
+  mutation.new_tags = {"cc", "priority"};
+  workload::Mutator mutator(mutation, seed + 1);
+  std::vector<std::string> bodies;
+  bodies.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    xml::Document doc = generator.Generate();
+    mutator.Mutate(doc);
+    bodies.push_back(xml::WriteDocument(doc));
+  }
+  return bodies;
+}
+
+TEST(SourceManagerTest, InlineAndWorkerAppliesMatchSequentialReplay) {
+  const std::string wal_dir =
+      testing::TempDir() + "source_manager_test_inline_apply";
+  std::filesystem::remove_all(wal_dir);
+  SourceManagerOptions options;
+  options.jobs = 2;
+  options.wal_dir = wal_dir;
+  options.fsync_policy = store::FsyncPolicy::kNone;
+  options.checkpoint_interval = std::chrono::milliseconds(0);
+  options.checkpoint_on_shutdown = false;  // keep every record in the log
+  SourceManager manager(EvolvingOptions(), options);
+  ASSERT_TRUE(manager.AddDtdText("mail", kMailDtd).ok());
+  obs::Registry registry;
+  ASSERT_TRUE(manager.Start(&registry).ok());
+  const obs::Counter& inline_applies =
+      registry.GetCounter("dtdevolve_ingest_inline_applies_total", "");
+  const obs::Histogram& ingest_seconds = registry.GetHistogram(
+      "dtdevolve_ingest_seconds", "", obs::Histogram::DefaultLatencyBounds());
+
+  auto enqueue = [&manager](const std::string& body, bool wait) {
+    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(body);
+    EXPECT_TRUE(doc.ok());
+    return manager.Enqueue("", std::move(*doc), body, wait);
+  };
+
+  // An idle shard: the caller applies the document before returning.
+  const std::vector<std::string> first = DriftingMailBodies(1, 99);
+  SourceManager::EnqueueResult idle = enqueue(first[0], /*wait=*/true);
+  ASSERT_EQ(idle.code, SourceManager::EnqueueCode::kOk);
+  {
+    std::lock_guard<std::mutex> lock(idle.waiter->mutex);
+    EXPECT_TRUE(idle.waiter->done);
+  }
+  EXPECT_EQ(inline_applies.Value(), 1u);
+
+  // Concurrent producers on one shard while ingest is paused and resumed
+  // underneath them: some documents are applied by their producer, the
+  // rest queue behind a busy or paused shard for the worker. The first
+  // ones always queue: the shard starts paused.
+  constexpr int kProducers = 4;
+  constexpr size_t kPerProducer = 60;
+  manager.PauseIngest();
+  std::atomic<bool> producing{true};
+  std::thread toggler([&manager, &producing] {
+    while (producing.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      manager.ResumeIngest();
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      manager.PauseIngest();
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&enqueue, p] {
+      const std::vector<std::string> bodies =
+          DriftingMailBodies(kPerProducer, 100 + p);
+      for (size_t i = 0; i < bodies.size(); ++i) {
+        // The queue holds 256; a producer that finds it full retries.
+        SourceManager::EnqueueResult result;
+        do {
+          result = enqueue(bodies[i], /*wait=*/i % 3 == 0);
+          if (result.code == SourceManager::EnqueueCode::kQueueFull) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        } while (result.code == SourceManager::EnqueueCode::kQueueFull);
+        EXPECT_EQ(result.code, SourceManager::EnqueueCode::kOk);
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  producing = false;
+  toggler.join();
+  manager.ResumeIngest();
+  const uint64_t inline_before_tail = inline_applies.Value();
+  EXPECT_LT(inline_before_tail, 1 + kProducers * kPerProducer);
+
+  // Once the worker has drained the backlog and let go of the shard, a
+  // producer applies inline again.
+  const std::vector<std::string> tail = DriftingMailBodies(200, 200);
+  size_t tail_docs = 0;
+  while (inline_applies.Value() == inline_before_tail &&
+         tail_docs < tail.size()) {
+    SourceManager::EnqueueResult result = enqueue(tail[tail_docs++], true);
+    ASSERT_EQ(result.code, SourceManager::EnqueueCode::kOk);
+    std::unique_lock<std::mutex> lock(result.waiter->mutex);
+    result.waiter->cv.wait(lock, [&result] { return result.waiter->done; });
+  }
+  EXPECT_GT(inline_applies.Value(), inline_before_tail);
+  manager.Drain();
+
+  const uint64_t total = 1 + kProducers * kPerProducer + tail_docs;
+  EXPECT_EQ(ingest_seconds.Count(), total);
+
+  // The acked order is the log's LSN order; replaying it one document at
+  // a time must land on the live state exactly.
+  StatusOr<store::WalExport> exported =
+      store::ExportWalRecords(wal_dir, 1, uint64_t{1} << 30);
+  ASSERT_TRUE(exported.ok()) << exported.status().ToString();
+  size_t consumed = 0;
+  const std::vector<store::WalRecord> records =
+      store::DecodeWalStream(exported->bytes, &consumed);
+  ASSERT_EQ(records.size(), total);
+  core::XmlSource replay(EvolvingOptions());
+  ASSERT_TRUE(replay.AddDtdText("mail", kMailDtd).ok());
+  for (const store::WalRecord& record : records) {
+    ASSERT_TRUE(replay.ProcessText(record.payload).ok());
+  }
+
+  const core::XmlSource& live = *manager.source();
+  EXPECT_EQ(live.documents_processed(), replay.documents_processed());
+  EXPECT_EQ(live.documents_classified(), replay.documents_classified());
+  EXPECT_EQ(live.evolutions_performed(), replay.evolutions_performed());
+  EXPECT_GT(live.evolutions_performed(), 0u);
+  EXPECT_EQ(live.repository().Ids(), replay.repository().Ids());
+  EXPECT_EQ(dtd::WriteDtd(*live.FindDtd("mail")),
+            dtd::WriteDtd(*replay.FindDtd("mail")));
+  ASSERT_EQ(live.events().size(), replay.events().size());
+  for (size_t i = 0; i < live.events().size(); ++i) {
+    EXPECT_EQ(live.events()[i].kind, replay.events()[i].kind) << i;
+    EXPECT_EQ(live.events()[i].dtd_name, replay.events()[i].dtd_name) << i;
+    EXPECT_EQ(live.events()[i].similarity, replay.events()[i].similarity)
+        << i;
+    EXPECT_EQ(live.events()[i].detail, replay.events()[i].detail) << i;
+  }
+  std::filesystem::remove_all(wal_dir);
 }
 
 }  // namespace

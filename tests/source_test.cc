@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "classify/classifier.h"
 #include "core/source.h"
 #include "dtd/dtd_writer.h"
+#include "store/checkpoint.h"
 #include "validate/validator.h"
+#include "workload/scenarios.h"
 #include "xml/parser.h"
 
 namespace dtdevolve::core {
@@ -221,6 +230,143 @@ TEST(FormatEvolutionTest, MentionsWindowsAndModels) {
   EXPECT_NE(report.find("new: (x,y)"), std::string::npos);
   EXPECT_NE(report.find("policy  1"), std::string::npos);
   EXPECT_NE(report.find("added declarations: x y"), std::string::npos);
+}
+
+/// One document a re-classification pass recovered.
+struct Recovery {
+  std::string dtd_name;
+  double similarity = 0.0;
+
+  friend bool operator==(const Recovery&, const Recovery&) = default;
+};
+
+/// Repository contents before an operation, by ascending id.
+std::vector<std::pair<int, xml::Document>> RepositorySnapshot(
+    const XmlSource& source) {
+  std::vector<std::pair<int, xml::Document>> docs;
+  for (int id : source.repository().Ids()) {
+    docs.emplace_back(id, source.repository().Get(id).Clone());
+  }
+  return docs;
+}
+
+/// What a full pass — every repository document scored exactly against
+/// every DTD — recovers from `before` under `source`'s current DTD set.
+std::vector<Recovery> FullPass(
+    const XmlSource& source,
+    const std::vector<std::pair<int, xml::Document>>& before) {
+  classify::ClassifierOptions plain;
+  plain.enable_pruning = false;
+  plain.enable_score_cache = false;
+  plain.enable_classification_memo = false;
+  classify::Classifier full(source.options().sigma,
+                            source.options().similarity, plain);
+  for (const std::string& name : source.DtdNames()) {
+    full.AddDtd(name, source.FindDtd(name));
+  }
+  std::vector<Recovery> recovered;
+  for (const auto& [id, doc] : before) {
+    const classify::ClassificationOutcome outcome = full.Classify(doc);
+    if (outcome.classified) {
+      recovered.push_back({outcome.dtd_name, outcome.similarity});
+    }
+  }
+  return recovered;
+}
+
+/// The `kReclassified` events from index `from` on.
+std::vector<Recovery> ReclassifiedSince(const XmlSource& source,
+                                        size_t from) {
+  std::vector<Recovery> recovered;
+  for (size_t i = from; i < source.events().size(); ++i) {
+    const SourceEvent& event = source.events()[i];
+    if (event.kind == SourceEvent::Kind::kReclassified) {
+      recovered.push_back({event.dtd_name, event.similarity});
+    }
+  }
+  return recovered;
+}
+
+std::unique_ptr<XmlSource> SeededSource(const SourceOptions& options,
+                                        const dtd::Dtd& seed_dtd) {
+  auto source = std::make_unique<XmlSource>(options);
+  EXPECT_TRUE(source->AddDtd("bibliography", seed_dtd.Clone()).ok());
+  return source;
+}
+
+TEST(XmlSourceTest, ChangedDtdReclassificationMatchesFullPass) {
+  // Each re-classification pass scores the repository only against the
+  // DTDs that changed since the previous pass; it must recover exactly
+  // the documents, DTDs and similarities of a full pass, in order —
+  // across evolutions with and without a pass, explicit passes, accepts
+  // of induced DTDs and restores from a checkpoint.
+  size_t passes = 0;
+  size_t recovered_total = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SourceOptions options;
+    options.sigma = 0.6 + 0.05 * static_cast<double>(seed % 4);
+    options.tau = 0.1;
+    options.reclassify_after_evolution = seed % 2 == 1;
+    workload::ScenarioStream drifting =
+        workload::MakeBibliographyScenario(seed, 60);
+    workload::ScenarioStream families =
+        workload::MakeMixedPopulationScenario(seed, 3, 30);
+    const dtd::Dtd seed_dtd = drifting.InitialDtd();
+    std::unique_ptr<XmlSource> source = SeededSource(options, seed_dtd);
+    std::mt19937_64 rng(seed);
+
+    auto check_pass = [&](const std::vector<std::pair<int, xml::Document>>&
+                              before,
+                          size_t events_before, size_t reported) {
+      const std::vector<Recovery> expected = FullPass(*source, before);
+      EXPECT_EQ(ReclassifiedSince(*source, events_before), expected)
+          << "seed " << seed;
+      EXPECT_EQ(reported, expected.size()) << "seed " << seed;
+      ++passes;
+      recovered_total += expected.size();
+    };
+
+    while (!drifting.Done() || !families.Done()) {
+      const uint64_t roll = rng() % 100;
+      const auto before = RepositorySnapshot(*source);
+      const size_t events_before = source->events().size();
+      if (roll < 4) {
+        const std::vector<std::string> names = source->DtdNames();
+        source->ForceEvolve(names[rng() % names.size()]);
+      } else if (roll < 8) {
+        check_pass(before, events_before, source->ReclassifyRepository());
+      } else if (roll < 10) {
+        if (source->InduceCandidates() == 0) continue;
+        StatusOr<XmlSource::AcceptOutcome> accepted =
+            source->AcceptCandidate(source->candidates().front().id);
+        ASSERT_TRUE(accepted.ok());
+        check_pass(before, events_before, accepted->reclassified);
+      } else if (roll < 12) {
+        // Any non-zero LSN: an LSN-0 checkpoint carries no repository.
+        std::unique_ptr<XmlSource> restored = SeededSource(options, seed_dtd);
+        ASSERT_TRUE(store::ApplyCheckpointToSource(
+                        store::CaptureCheckpoint(*source, 1), *restored)
+                        .ok());
+        EXPECT_EQ(restored->repository().Ids(), source->repository().Ids());
+        source = std::move(restored);
+      } else {
+        workload::ScenarioStream& stream =
+            families.Done() || (!drifting.Done() && roll % 2 == 0)
+                ? drifting
+                : families;
+        const XmlSource::ProcessOutcome outcome =
+            source->Process(stream.Next());
+        if (outcome.evolved && options.reclassify_after_evolution) {
+          check_pass(before, events_before, outcome.reclassified);
+        }
+      }
+    }
+    const auto before = RepositorySnapshot(*source);
+    const size_t events_before = source->events().size();
+    check_pass(before, events_before, source->ReclassifyRepository());
+  }
+  EXPECT_GT(passes, 50u);
+  EXPECT_GT(recovered_total, 0u);
 }
 
 }  // namespace
