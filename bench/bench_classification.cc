@@ -8,15 +8,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
 
 #include "bench_json.h"
 #include "bench_util.h"
 #include "classify/classification_memo.h"
 #include "classify/classifier.h"
 #include "core/source.h"
+#include "workload/mutator.h"
 #include "workload/scenarios.h"
 #include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -285,6 +289,221 @@ IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
   return run;
 }
 
+// --- Miss-heavy leg ----------------------------------------------------------
+//
+// A drifting, low-repeat stream (the four workload scenarios through all
+// their drift phases, interleaved, each document further damaged at
+// drift 0.3, plus a mixed population that lands in the repository), so
+// the classification memo mostly misses and every miss is scored. Two
+// measurements, each repeated for its spread:
+//
+//   * ingest: parse → classify → record → check → evolve through
+//     `XmlSource::ProcessText`, DOM reference path vs streaming default;
+//     outcomes must match entry by entry;
+//   * classify stage: each document's parse excluded, a memo-less
+//     classifier scores the arena tree in place vs the materialize-then-
+//     score path (`ToDocument` + DOM fingerprint index + DOM scoring);
+//     outcomes must match bit for bit.
+
+struct MissCorpus {
+  std::vector<dtd::Dtd> dtds;
+  std::vector<std::string> names;
+  std::vector<std::string> texts;
+};
+
+MissCorpus MakeMissCorpus() {
+  MissCorpus corpus;
+  std::vector<workload::ScenarioStream> streams =
+      workload::MakeAllScenarios(11, 150);
+  for (workload::ScenarioStream& stream : streams) {
+    corpus.names.push_back(stream.name());
+    corpus.dtds.push_back(stream.InitialDtd());
+  }
+  const size_t drifting = streams.size();
+  streams.push_back(workload::MakeMixedPopulationScenario(11, 3, 40));
+  workload::MutationOptions mutation;
+  mutation.drop_probability = 0.15;
+  mutation.insert_probability = 0.3;
+  mutation.duplicate_probability = 0.15;
+  mutation.new_tags = {"cc", "priority"};
+  workload::Mutator mutator(mutation, 11);
+  xml::WriteOptions compact;
+  compact.indent = false;
+  for (bool more = true; more;) {
+    more = false;
+    for (size_t i = 0; i < streams.size(); ++i) {
+      if (streams[i].Done()) continue;
+      xml::Document doc = streams[i].Next();
+      if (i < drifting) mutator.Mutate(doc);
+      corpus.texts.push_back(xml::WriteDocument(doc, compact));
+      more = true;
+    }
+  }
+  return corpus;
+}
+
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {bench::PercentileSorted(values, 0.5), values.front(), values.back()};
+}
+
+struct MissIngestRun {
+  double ns_per_doc = 0;
+  std::vector<core::XmlSource::ProcessOutcome> outcomes;
+  classify::ClassificationMemo::Stats memo;
+};
+
+MissIngestRun RunMissIngest(const MissCorpus& corpus,
+                            const core::SourceOptions& base) {
+  classify::ClassificationMemo memo;
+  core::SourceOptions options = base;
+  if (options.streaming_parse) options.classifier.shared_memo = &memo;
+  core::XmlSource src(options);
+  for (size_t i = 0; i < corpus.dtds.size(); ++i) {
+    if (!src.AddDtd(corpus.names[i], corpus.dtds[i].Clone()).ok()) {
+      std::abort();
+    }
+  }
+  MissIngestRun run;
+  run.outcomes.reserve(corpus.texts.size());
+  const auto start = std::chrono::steady_clock::now();
+  for (const std::string& text : corpus.texts) {
+    StatusOr<core::XmlSource::ProcessOutcome> outcome = src.ProcessText(text);
+    if (!outcome.ok()) std::abort();
+    run.outcomes.push_back(*outcome);
+  }
+  run.ns_per_doc = std::chrono::duration<double, std::nano>(
+                       std::chrono::steady_clock::now() - start)
+                       .count() /
+                   static_cast<double>(corpus.texts.size());
+  run.memo = memo.GetStats();
+  return run;
+}
+
+/// Classify-stage time per document over pre-parsed arena trees; the
+/// outcomes land in `outcomes`. `materialize` takes the pre-arena-scoring
+/// miss path: convert, index, score the DOM.
+double RunMissClassify(const classify::Classifier& classifier,
+                       const std::vector<xml::ArenaDocument>& docs,
+                       bool materialize,
+                       std::vector<classify::ClassificationOutcome>* outcomes) {
+  outcomes->clear();
+  outcomes->reserve(docs.size());
+  const auto start = std::chrono::steady_clock::now();
+  for (const xml::ArenaDocument& doc : docs) {
+    outcomes->push_back(materialize ? classifier.Classify(doc.ToDocument())
+                                    : classifier.Classify(doc));
+  }
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+             .count() /
+         static_cast<double>(docs.size());
+}
+
+bool SameOutcome(const core::XmlSource::ProcessOutcome& a,
+                 const core::XmlSource::ProcessOutcome& b) {
+  return a.classified == b.classified && a.dtd_name == b.dtd_name &&
+         a.similarity == b.similarity && a.evolved == b.evolved &&
+         a.reclassified == b.reclassified;
+}
+
+/// Adds the miss-heavy leg's fields; returns its outcome mismatches.
+size_t AddMissLeg(bench::JsonObject& json) {
+  constexpr size_t kRepeats = 5;
+  const MissCorpus corpus = MakeMissCorpus();
+
+  core::SourceOptions dom_options;
+  dom_options.streaming_parse = false;
+  dom_options.classifier.enable_classification_memo = false;
+  core::SourceOptions stream_options;  // streaming defaults
+
+  size_t mismatches = 0;
+  std::vector<double> dom_ns, stream_ns;
+  classify::ClassificationMemo::Stats memo_stats;
+  uint64_t evolutions = 0, unclassified = 0;
+  for (size_t r = 0; r < kRepeats; ++r) {
+    const MissIngestRun dom_run = RunMissIngest(corpus, dom_options);
+    const MissIngestRun stream_run = RunMissIngest(corpus, stream_options);
+    dom_ns.push_back(dom_run.ns_per_doc);
+    stream_ns.push_back(stream_run.ns_per_doc);
+    for (size_t i = 0; i < stream_run.outcomes.size(); ++i) {
+      if (!SameOutcome(dom_run.outcomes[i], stream_run.outcomes[i])) {
+        ++mismatches;
+      }
+    }
+    memo_stats = stream_run.memo;
+    evolutions = unclassified = 0;
+    for (const core::XmlSource::ProcessOutcome& o : stream_run.outcomes) {
+      evolutions += o.evolved ? 1 : 0;
+      unclassified += o.classified ? 0 : 1;
+    }
+  }
+
+  // Classify stage on the phase-0 DTD set, memo off so every document
+  // is a miss. Each pass gets fresh classifiers, so its subtree score
+  // cache starts cold and carries only what the stream itself repeats.
+  std::vector<xml::ArenaDocument> arenas;
+  arenas.reserve(corpus.texts.size());
+  for (const std::string& text : corpus.texts) {
+    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
+    if (!doc.ok()) std::abort();
+    arenas.push_back(std::move(doc).value());
+  }
+  classify::ClassifierOptions no_memo;
+  no_memo.enable_classification_memo = false;
+  auto fresh_classifier = [&] {
+    auto classifier = std::make_unique<classify::Classifier>(0.5,
+        similarity::SimilarityOptions{}, no_memo);
+    for (size_t i = 0; i < corpus.dtds.size(); ++i) {
+      classifier->AddDtd(corpus.names[i], &corpus.dtds[i]);
+    }
+    return classifier;
+  };
+  std::vector<double> arena_ns, materialized_ns;
+  std::vector<classify::ClassificationOutcome> arena_out, dom_out;
+  for (size_t r = 0; r < kRepeats; ++r) {
+    materialized_ns.push_back(
+        RunMissClassify(*fresh_classifier(), arenas, true, &dom_out));
+    arena_ns.push_back(
+        RunMissClassify(*fresh_classifier(), arenas, false, &arena_out));
+    for (size_t i = 0; i < arena_out.size(); ++i) {
+      const classify::ClassificationOutcome& a = arena_out[i];
+      const classify::ClassificationOutcome& b = dom_out[i];
+      if (a.classified != b.classified || a.dtd_name != b.dtd_name ||
+          a.similarity != b.similarity || a.scores != b.scores) {
+        ++mismatches;
+      }
+    }
+  }
+
+  const Spread dom = SpreadOf(dom_ns), stream = SpreadOf(stream_ns);
+  const Spread arena = SpreadOf(arena_ns),
+               materialized = SpreadOf(materialized_ns);
+  json.Add("miss_docs", corpus.texts.size())
+      .Add("miss_repeats", static_cast<uint64_t>(kRepeats))
+      .Add("miss_memo_hit_rate", memo_stats.HitRate())
+      .Add("miss_evolutions", evolutions)
+      .Add("miss_unclassified", unclassified)
+      .Add("miss_dom_ns_per_doc", dom.median)
+      .Add("miss_dom_ns_per_doc_min", dom.min)
+      .Add("miss_dom_ns_per_doc_max", dom.max)
+      .Add("miss_stream_ns_per_doc", stream.median)
+      .Add("miss_stream_ns_per_doc_min", stream.min)
+      .Add("miss_stream_ns_per_doc_max", stream.max)
+      .Add("miss_classify_arena_ns_per_doc", arena.median)
+      .Add("miss_classify_arena_ns_per_doc_min", arena.min)
+      .Add("miss_classify_arena_ns_per_doc_max", arena.max)
+      .Add("miss_classify_materialized_ns_per_doc", materialized.median)
+      .Add("miss_classify_materialized_ns_per_doc_min", materialized.min)
+      .Add("miss_classify_materialized_ns_per_doc_max", materialized.max)
+      .Add("miss_ingest_outcome_mismatches", static_cast<uint64_t>(mismatches));
+  return mismatches;
+}
+
 int RunHeadline(const std::string& out) {
   HeadlineCorpus corpus = MakeHeadlineCorpus();
   constexpr size_t kRounds = 10;
@@ -374,11 +593,7 @@ int RunHeadline(const std::string& out) {
 
   size_t ingest_mismatches = 0;
   for (size_t i = 0; i < stream_run.outcomes.size(); ++i) {
-    const core::XmlSource::ProcessOutcome& a = dom_run.outcomes[i];
-    const core::XmlSource::ProcessOutcome& b = stream_run.outcomes[i];
-    if (a.classified != b.classified || a.dtd_name != b.dtd_name ||
-        a.similarity != b.similarity || a.evolved != b.evolved ||
-        a.reclassified != b.reclassified) {
+    if (!SameOutcome(dom_run.outcomes[i], stream_run.outcomes[i])) {
       ++ingest_mismatches;
     }
   }
@@ -418,8 +633,11 @@ int RunHeadline(const std::string& out) {
       // visit.
       .Add("child_iteration",
            std::string("iterator (was per-visit vector materialization)"));
+  const size_t miss_mismatches = AddMissLeg(json);
   if (!json.Emit(out)) return 1;
-  return mismatches == 0 && ingest_mismatches == 0 ? 0 : 2;
+  return mismatches == 0 && ingest_mismatches == 0 && miss_mismatches == 0
+             ? 0
+             : 2;
 }
 
 }  // namespace

@@ -19,6 +19,21 @@ namespace {
 /// equal-score tie-break entirely.
 constexpr double kPruneSlack = 1e-9;
 
+/// One DTD's exact score of either document type; a DOM document reads
+/// the shared cache through its fingerprint index, an arena document
+/// through the fingerprints its elements carry.
+double Score(const similarity::SimilarityEvaluator& evaluator,
+             const xml::Document& doc,
+             const similarity::SubtreeFingerprints* fingerprints) {
+  return evaluator.DocumentSimilarity(doc, fingerprints);
+}
+
+double Score(const similarity::SimilarityEvaluator& evaluator,
+             const xml::ArenaDocument& doc,
+             const similarity::SubtreeFingerprints* /*fingerprints*/) {
+  return evaluator.DocumentSimilarity(doc);
+}
+
 }  // namespace
 
 Classifier::Classifier(double sigma, similarity::SimilarityOptions options,
@@ -119,54 +134,36 @@ const similarity::SimilarityEvaluator& Classifier::EvaluatorFor(
   return *it->second;
 }
 
-ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
+Classifier::Clock::time_point Classifier::ScoreStart() const {
   // The clock is read only when someone actually installed a histogram,
   // so the uninstrumented hot path pays nothing.
-  const auto start = metrics_.score_seconds != nullptr
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point();
+  return metrics_.score_seconds != nullptr ? Clock::now()
+                                           : Clock::time_point();
+}
+
+void Classifier::CountScored(Clock::time_point start) const {
+  if (metrics_.documents_scored != nullptr) {
+    metrics_.documents_scored->Increment();
+  }
+  if (metrics_.score_seconds != nullptr) {
+    metrics_.score_seconds->Observe(
+        std::chrono::duration<double>(Clock::now() - start).count());
+  }
+}
+
+template <typename DocumentT>
+ClassificationOutcome Classifier::ScoreAndMemoize(
+    const DocumentT& doc, const similarity::SubtreeFingerprints* fingerprints,
+    const std::optional<ClassificationMemo::Key>& memo_key,
+    Clock::time_point start) const {
   ClassificationOutcome outcome;
   outcome.scores.resize(dtds_.size());
 
-  // Per-document work shared by every DTD: the root content symbols feed
-  // the score bounds, the subtree fingerprints feed the shared cache and
-  // the classification memo.
+  // The root content symbols feed every DTD's score bound.
   const bool prune = classifier_options_.enable_pruning && dtds_.size() > 1;
   std::vector<int32_t> root_symbol_ids;
   if (prune && doc.has_root()) {
     root_symbol_ids = validate::ContentSymbolIds(doc.root());
-  }
-  ClassificationMemo* memo = effective_memo();
-  std::optional<similarity::SubtreeFingerprints> fingerprints;
-  if ((effective_cache() != nullptr || memo != nullptr) && doc.has_root()) {
-    fingerprints.emplace(doc.root());
-  }
-  const similarity::SubtreeFingerprints* fingerprints_ptr =
-      effective_cache() != nullptr && fingerprints ? &*fingerprints : nullptr;
-
-  // Memo probe: within one set-epoch, equal root fingerprints imply an
-  // identical outcome against every DTD — replay it and skip scoring.
-  ClassificationMemo::Key memo_key;
-  bool memoizable = false;
-  if (memo != nullptr && fingerprints) {
-    const similarity::SubtreeStats* root_stats =
-        fingerprints->Find(&doc.root());
-    if (root_stats != nullptr) {
-      memo_key = {set_epoch_, root_stats->fp_hi, root_stats->fp_lo};
-      memoizable = true;
-      if (memo->Lookup(memo_key, &outcome)) {
-        if (metrics_.documents_scored != nullptr) {
-          metrics_.documents_scored->Increment();
-        }
-        if (metrics_.score_seconds != nullptr) {
-          metrics_.score_seconds->Observe(
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count());
-        }
-        return outcome;
-      }
-    }
   }
 
   struct Candidate {
@@ -214,7 +211,7 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
       }
       continue;
     }
-    double score = c.evaluator->DocumentSimilarity(doc, fingerprints_ptr);
+    double score = Score(*c.evaluator, doc, fingerprints);
     if (metrics_.similarity_evaluations != nullptr) {
       metrics_.similarity_evaluations->Increment();
     }
@@ -234,43 +231,83 @@ ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
   }
   outcome.classified =
       !outcome.dtd_name.empty() && outcome.similarity >= sigma_;
-  if (memoizable) memo->Insert(memo_key, outcome);
-  if (metrics_.documents_scored != nullptr) {
-    metrics_.documents_scored->Increment();
-  }
-  if (metrics_.score_seconds != nullptr) {
-    metrics_.score_seconds->Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  if (memo_key.has_value()) effective_memo()->Insert(*memo_key, outcome);
+  CountScored(start);
   return outcome;
+}
+
+ClassificationOutcome Classifier::Classify(const xml::Document& doc) const {
+  const Clock::time_point start = ScoreStart();
+  // The subtree fingerprints feed the shared cache and the memo key; a
+  // DOM tree has to be indexed for them once per document.
+  ClassificationMemo* memo = effective_memo();
+  std::optional<similarity::SubtreeFingerprints> fingerprints;
+  if ((effective_cache() != nullptr || memo != nullptr) && doc.has_root()) {
+    fingerprints.emplace(doc.root());
+  }
+  const similarity::SubtreeFingerprints* fingerprints_ptr =
+      effective_cache() != nullptr && fingerprints ? &*fingerprints : nullptr;
+
+  // Memo probe: within one set-epoch, equal root fingerprints imply an
+  // identical outcome against every DTD — replay it and skip scoring.
+  std::optional<ClassificationMemo::Key> memo_key;
+  if (memo != nullptr && fingerprints) {
+    const similarity::SubtreeStats* root_stats =
+        fingerprints->Find(&doc.root());
+    if (root_stats != nullptr) {
+      memo_key = ClassificationMemo::Key{set_epoch_, root_stats->fp_hi,
+                                         root_stats->fp_lo};
+      ClassificationOutcome outcome;
+      if (memo->Lookup(*memo_key, &outcome)) {
+        CountScored(start);
+        return outcome;
+      }
+    }
+  }
+  return ScoreAndMemoize(doc, fingerprints_ptr, memo_key, start);
+}
+
+std::optional<ClassificationMemo::Key> Classifier::ArenaMemoKey(
+    const xml::ArenaDocument& doc) const {
+  if (effective_memo() == nullptr || !doc.has_root()) return std::nullopt;
+  return ClassificationMemo::Key{set_epoch_, doc.root().fp_hi,
+                                 doc.root().fp_lo};
+}
+
+ClassificationOutcome Classifier::Classify(
+    const xml::ArenaDocument& doc) const {
+  const Clock::time_point start = ScoreStart();
+  if (std::optional<ClassificationOutcome> replayed = MemoProbe(doc)) {
+    return *std::move(replayed);
+  }
+  return ScoreAndMemoize(doc, nullptr, ArenaMemoKey(doc), start);
 }
 
 std::optional<ClassificationOutcome> Classifier::MemoProbe(
     const xml::ArenaDocument& doc) const {
-  ClassificationMemo* memo = effective_memo();
-  if (memo == nullptr || !doc.has_root()) return std::nullopt;
-  const xml::ArenaElement& root = doc.root();
-  ClassificationMemo::Key key{set_epoch_, root.fp_hi, root.fp_lo};
+  const std::optional<ClassificationMemo::Key> key = ArenaMemoKey(doc);
   ClassificationOutcome outcome;
-  if (!memo->Lookup(key, &outcome)) return std::nullopt;
+  if (!key || !effective_memo()->Lookup(*key, &outcome)) return std::nullopt;
   if (metrics_.documents_scored != nullptr) {
     metrics_.documents_scored->Increment();
   }
   return outcome;
 }
 
-ClassificationOutcome Classifier::ClassifyArena(
-    const xml::ArenaDocument& doc,
-    std::optional<xml::Document>* materialized) const {
-  if (std::optional<ClassificationOutcome> replayed = MemoProbe(doc)) {
-    return *std::move(replayed);
+std::vector<ClassificationOutcome> Classifier::ClassifyMisses(
+    const std::vector<const xml::ArenaDocument*>& docs,
+    util::ThreadPool* pool) const {
+  std::vector<ClassificationOutcome> outcomes(docs.size());
+  auto score = [&](size_t i) {
+    outcomes[i] = ScoreAndMemoize(*docs[i], nullptr, ArenaMemoKey(*docs[i]),
+                                  ScoreStart());
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < docs.size(); ++i) score(i);
+  } else {
+    pool->ParallelFor(docs.size(), score);
   }
-  // Miss (or memo off): materialize once and take the DOM path, which
-  // inserts under the identical key — the arena fingerprint equals the
-  // DOM fingerprint of the materialized tree by construction.
-  materialized->emplace(doc.ToDocument());
-  return Classify(**materialized);
+  return outcomes;
 }
 
 std::vector<ClassificationOutcome> Classifier::ClassifyBatch(

@@ -1,6 +1,7 @@
 #ifndef DTDEVOLVE_CLASSIFY_CLASSIFIER_H_
 #define DTDEVOLVE_CLASSIFY_CLASSIFIER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -95,6 +96,9 @@ struct ClassifierOptions {
 /// lexicographically smallest name wins, independently of registration or
 /// container order. `ClassifyBatch` follows the same rule.
 ///
+/// Both document types run one candidate loop: a DOM document or a
+/// streaming-parsed arena tree, scored in place.
+///
 /// Fast path: the document's root content symbols and subtree
 /// fingerprints are derived once, every DTD gets a conservative score
 /// upper bound (root-tag gate + label-vocabulary overlap — see
@@ -164,24 +168,29 @@ class Classifier {
 
   /// Classifies a streaming-parsed document, memo-first: the arena
   /// carries the root fingerprint from the parse, so a hit replays the
-  /// cached outcome without materializing a DOM at all. On a miss (or
-  /// with the memo off) the document is materialized once into
-  /// `*materialized` and scored through `Classify` — which inserts the
-  /// outcome into the memo under the identical key, because arena and
-  /// DOM fingerprints are bit-identical by construction — and the
-  /// caller reuses the DOM (repository add, keep_documents) instead of
-  /// converting twice. `*materialized` stays empty on a memo hit.
-  ClassificationOutcome ClassifyArena(
-      const xml::ArenaDocument& doc,
-      std::optional<xml::Document>* materialized) const;
+  /// cached outcome. A miss (or the memo off) scores the arena tree in
+  /// place through the same candidate loop as the DOM overload — no DOM
+  /// is built — and inserts the outcome under the identical key, because
+  /// arena and DOM fingerprints are bit-identical by construction. The
+  /// outcome equals `Classify(doc.ToDocument())` bit for bit.
+  ClassificationOutcome Classify(const xml::ArenaDocument& doc) const;
 
-  /// Memo-probe half of `ClassifyArena`: replays the cached outcome for
-  /// the arena root's fingerprint under the current set-epoch, or
+  /// Memo-probe half of the arena `Classify`: replays the cached outcome
+  /// for the arena root's fingerprint under the current set-epoch, or
   /// returns nullopt (memo off, rootless document, or a miss) without
   /// scoring anything. Batch callers use this to split a chunk into
   /// replayed hits and to-be-scored misses.
   std::optional<ClassificationOutcome> MemoProbe(
       const xml::ArenaDocument& doc) const;
+
+  /// Scoring half of the arena `Classify`, for documents whose
+  /// `MemoProbe` already missed: scores each arena tree in place (no
+  /// second memo lookup, no DOM) and inserts its outcome into the memo.
+  /// Runs on `pool` like `ClassifyBatch`; entry i equals
+  /// `Classify(*docs[i])`.
+  std::vector<ClassificationOutcome> ClassifyMisses(
+      const std::vector<const xml::ArenaDocument*>& docs,
+      util::ThreadPool* pool) const;
 
   /// Classifies every document concurrently on `jobs` threads (≤ 1 runs
   /// inline). Scoring is read-only, so the result is identical — entry by
@@ -246,8 +255,34 @@ class Classifier {
   uint64_t set_epoch() const { return set_epoch_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   const similarity::SimilarityEvaluator& EvaluatorFor(
       const std::string& name) const;
+
+  /// The candidate loop shared by both document types (defined and
+  /// instantiated in the .cc for `xml::Document` and
+  /// `xml::ArenaDocument`): bound-ordered exact scoring with pruning,
+  /// the tie-break and σ, then the memo insert under `memo_key` and the
+  /// scoring metrics. `fingerprints` is the DOM fingerprint index (null
+  /// for arena documents, whose elements carry their own).
+  template <typename DocumentT>
+  ClassificationOutcome ScoreAndMemoize(
+      const DocumentT& doc,
+      const similarity::SubtreeFingerprints* fingerprints,
+      const std::optional<ClassificationMemo::Key>& memo_key,
+      Clock::time_point start) const;
+
+  /// The memo key of an arena document (root fingerprint under the
+  /// current set-epoch); nullopt with the memo off or without a root.
+  std::optional<ClassificationMemo::Key> ArenaMemoKey(
+      const xml::ArenaDocument& doc) const;
+
+  /// Start of the `score_seconds` observation (no clock read when the
+  /// histogram is not installed).
+  Clock::time_point ScoreStart() const;
+  /// One document scored (or replayed): the counter and the histogram.
+  void CountScored(Clock::time_point start) const;
 
   /// The cache evaluators score through: the externally shared one when
   /// configured, else the owned one, else nullptr (caching disabled).

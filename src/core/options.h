@@ -28,10 +28,13 @@ struct SourceOptions {
   /// The check phase never fires before this many documents were
   /// classified into the DTD ("after a certain number of documents").
   size_t min_documents_before_check = 10;
-  /// Keep classified documents in memory (experiments re-validate them
-  /// after evolution; a production deployment would store them in the
-  /// database instead).
-  bool keep_documents = true;
+  /// Keep every classified document in memory as a DOM
+  /// (`XmlSource::InstancesOf`), for experiments that re-validate them
+  /// after evolution. Off by default: the store grows with every
+  /// classified document and has no bound, and it forces a DOM for each
+  /// one. The extended DTD already records what evolution needs, so the
+  /// documents never have to be re-read.
+  bool keep_documents = false;
   /// Re-classify repository documents automatically after an evolution.
   bool reclassify_after_evolution = true;
   /// Keep the incremental repository clusterer in sync with every

@@ -111,11 +111,20 @@ XmlSource::ProcessOutcome XmlSource::Process(xml::Document doc) {
 }
 
 XmlSource::ProcessOutcome XmlSource::Process(xml::ArenaDocument doc) {
+  classify::ClassificationOutcome classification = classifier_.Classify(doc);
   PendingDocument pending;
   pending.arena = &doc;
-  classify::ClassificationOutcome classification =
-      classifier_.ClassifyArena(doc, &pending.dom);
   return ApplyClassification(std::move(pending), classification, nullptr);
+}
+
+xml::Document XmlSource::TakeDom(PendingDocument& doc) {
+  if (!doc.dom.has_value()) {
+    doc.dom.emplace(doc.arena->ToDocument());
+    if (metrics_.documents_materialized != nullptr) {
+      metrics_.documents_materialized->Increment();
+    }
+  }
+  return *std::move(doc.dom);
 }
 
 XmlSource::ProcessOutcome XmlSource::ApplyClassification(
@@ -132,7 +141,7 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   outcome.similarity = classification.similarity;
 
   if (!classification.classified) {
-    const int repo_id = repository_.Add(doc.TakeDom());
+    const int repo_id = repository_.Add(TakeDom(doc));
     if (options_.cluster_repository) {
       clusterer_.Add(repo_id, repository_.Get(repo_id));
     }
@@ -155,13 +164,13 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   if (doc.dom.has_value()) {
     recorders_.at(name)->RecordDocument(*doc.dom);
   } else {
-    // Memo-hit streaming path: record straight off the arena tree —
-    // the recorder extracts identical statistics from either
-    // representation of the same document.
+    // Streaming path: record straight off the arena tree — the recorder
+    // extracts identical statistics from either representation of the
+    // same document.
     recorders_.at(name)->RecordDocument(*doc.arena);
   }
   if (options_.keep_documents) {
-    instances_.at(name).push_back(doc.TakeDom());
+    instances_.at(name).push_back(TakeDom(doc));
   }
   events_.push_back({SourceEvent::Kind::kClassified, name,
                      classification.similarity, index, ""});
@@ -264,32 +273,29 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
   // Same chunked speculation as the DOM batch, with a memo split in
-  // front: hits replay their outcome with no DOM and no scoring, and
-  // only the misses of the chunk are materialized and batch-scored.
-  // An evolution bumps the set-epoch, so the re-probed remainder of the
+  // front: hits replay their outcome with no scoring, and only the
+  // misses of the chunk are batch-scored — on their arena trees, so no
+  // DOM is built unless a document ends up in the repository. An
+  // evolution bumps the set-epoch, so the re-probed remainder of the
   // chunk correctly misses against the evolved set.
   const size_t chunk = std::max<size_t>(32, 16 * threads);
   std::vector<std::optional<classify::ClassificationOutcome>> replayed;
-  std::vector<std::optional<xml::Document>> materialized;
   size_t i = 0;
   while (i < docs.size()) {
     const size_t end = std::min(docs.size(), i + chunk);
     replayed.clear();
     replayed.resize(end - i);
-    materialized.clear();
-    materialized.resize(end - i);
-    std::vector<const xml::Document*> pending;
+    std::vector<const xml::ArenaDocument*> pending;
     std::vector<size_t> pending_index;
     for (size_t j = i; j < end; ++j) {
       replayed[j - i] = classifier_.MemoProbe(docs[j]);
       if (!replayed[j - i].has_value()) {
-        materialized[j - i].emplace(docs[j].ToDocument());
-        pending.push_back(&*materialized[j - i]);
+        pending.push_back(&docs[j]);
         pending_index.push_back(j - i);
       }
     }
     std::vector<classify::ClassificationOutcome> scored =
-        classifier_.ClassifyBatch(pending, pool);
+        classifier_.ClassifyMisses(pending, pool);
     for (size_t k = 0; k < pending_index.size(); ++k) {
       replayed[pending_index[k]] = std::move(scored[k]);
     }
@@ -297,7 +303,6 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
     for (size_t j = i; j < end; ++j) {
       PendingDocument doc;
       doc.arena = &docs[j];
-      doc.dom = std::move(materialized[j - i]);
       outcomes.push_back(
           ApplyClassification(std::move(doc), *replayed[j - i], pool));
       ++applied;

@@ -36,6 +36,11 @@ struct SourceMetrics {
   obs::Counter* documents_classified = nullptr;
   obs::Counter* documents_unclassified = nullptr;
   obs::Counter* documents_reclassified = nullptr;
+  /// One increment per arena → DOM conversion (`ToDocument`) of a
+  /// streaming-parsed document: one per document entering the
+  /// repository, plus one per classified document under
+  /// `keep_documents`. Classification and recording never need one.
+  obs::Counter* documents_materialized = nullptr;
   obs::Counter* trigger_checks = nullptr;
   obs::Counter* evolutions = nullptr;
   // Classification hot path (forwarded to the Classifier).
@@ -129,11 +134,11 @@ class XmlSource {
   /// Classifies, records and (when the check phase fires) evolves.
   ProcessOutcome Process(xml::Document doc);
   /// Streaming twin: classifies memo-first from the arena's parse-time
-  /// root fingerprint. On a memo hit the whole classify → record tail
-  /// runs on the arena representation — no DOM is ever built (unless
-  /// the document is unclassified or `keep_documents` needs a copy); on
-  /// a miss the document is materialized once and takes the DOM path.
-  /// Outcome-equivalent to converting and calling the DOM overload.
+  /// root fingerprint, scores a miss on the arena tree itself, and
+  /// records off the arena too. A DOM is built only when the document
+  /// enters the repository of unclassified documents (or when
+  /// `keep_documents` keeps a copy). Outcome-equivalent to converting
+  /// and calling the DOM overload.
   ProcessOutcome Process(xml::ArenaDocument doc);
   /// Parses then processes — through the streaming reader when
   /// `options().streaming_parse` (the default), else the DOM parser.
@@ -163,10 +168,11 @@ class XmlSource {
   std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
                                            util::ThreadPool* pool);
 
-  /// Arena batch: memo hits replay without DOM materialization or
-  /// scoring; only the misses of each chunk are materialized and scored
-  /// (in parallel on `pool`). Outcomes are identical — entry by entry —
-  /// to converting every document and calling the DOM `ProcessBatch`.
+  /// Arena batch: memo hits replay without scoring; only the misses of
+  /// each chunk are scored (in parallel on `pool`, on their arena
+  /// trees). A DOM is built only for documents entering the repository,
+  /// as in `Process`. Outcomes are identical — entry by entry — to
+  /// converting every document and calling the DOM `ProcessBatch`.
   std::vector<ProcessOutcome> ProcessBatch(
       std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool);
 
@@ -179,7 +185,8 @@ class XmlSource {
   const evolve::ExtendedDtd* FindExtended(const std::string& name) const;
 
   const classify::Repository& repository() const { return repository_; }
-  /// Documents classified into `name` (empty unless keep_documents).
+  /// Documents classified into `name` (empty unless keep_documents,
+  /// which is off by default: the store is unbounded).
   const std::vector<xml::Document>& InstancesOf(const std::string& name) const;
 
   const std::vector<SourceEvent>& events() const { return events_; }
@@ -293,19 +300,18 @@ class XmlSource {
 
  private:
   /// A document on its way through the apply tail, in whichever
-  /// representation it still has: the DOM path fills `dom` only; the
-  /// streaming path points `arena` at the caller's arena tree and fills
-  /// `dom` lazily — only when the repository or `keep_documents`
-  /// genuinely needs an owning DOM.
+  /// representation it has: the DOM path fills `dom` only; the
+  /// streaming path points `arena` at the caller's arena tree and leaves
+  /// `dom` empty until `TakeDom`.
   struct PendingDocument {
     const xml::ArenaDocument* arena = nullptr;
     std::optional<xml::Document> dom;
-
-    xml::Document TakeDom() {
-      if (!dom.has_value()) dom.emplace(arena->ToDocument());
-      return *std::move(dom);
-    }
   };
+
+  /// The owning DOM of `doc`, materialized from the arena (and counted
+  /// on `documents_materialized`) when the document has none — only the
+  /// repository and `keep_documents` need one.
+  xml::Document TakeDom(PendingDocument& doc);
 
   /// The record / check / evolve tail of `Process`, fed a precomputed
   /// classification. `pool` is forwarded to the repository re-scoring

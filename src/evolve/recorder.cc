@@ -57,15 +57,8 @@ bool FillShape(const xml::ArenaElement& element,
   return element.has_text;
 }
 
-std::string_view TagOf(const xml::Element& element) { return element.tag(); }
-
-std::string_view TagOf(const xml::ArenaElement& element) {
-  return element.tag;
-}
-
-int32_t TagIdOf(const xml::Element& element) { return element.tag_id(); }
-
-int32_t TagIdOf(const xml::ArenaElement& element) { return element.tag_id; }
+using xml::TagIdOf;
+using xml::TagOf;
 
 void FillAttributeNames(const xml::Element& element,
                         std::vector<std::string_view>& names) {

@@ -258,6 +258,9 @@ void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
   metrics.documents_reclassified = &registry->GetCounter(
       "dtdevolve_documents_reclassified_total",
       "Repository documents recovered after evolutions", labels);
+  metrics.documents_materialized = &registry->GetCounter(
+      "dtdevolve_documents_materialized_total",
+      "Streaming-parsed documents converted to a DOM", labels);
   metrics.trigger_checks = &registry->GetCounter(
       "dtdevolve_trigger_checks_total",
       "Evolution trigger (tau or rule) evaluations", labels);

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 
 #include "util/string_util.h"
 #include "util/symbol_table.h"
@@ -41,20 +43,34 @@ Triple MatchedChildContribution(const Triple& child, double tag_score,
 /// replaced evaluator can never be read by its successor.
 std::atomic<uint64_t> g_epoch_counter{0};
 
+/// Fingerprint of `element`'s subtree for the shared-cache key: read off
+/// the DOM index (nullopt without one), or off the arena element itself.
+std::optional<SubtreeStats> SubtreeStatsOf(
+    const xml::Element& element, const SubtreeFingerprints* fingerprints) {
+  if (fingerprints == nullptr) return std::nullopt;
+  const SubtreeStats* stats = fingerprints->Find(&element);
+  if (stats == nullptr) return std::nullopt;
+  return *stats;
+}
+
+std::optional<SubtreeStats> SubtreeStatsOf(const xml::ArenaElement& element,
+                                           const SubtreeFingerprints*) {
+  return SubtreeStats{element.fp_hi, element.fp_lo, element.element_count};
+}
+
 }  // namespace
 
-std::vector<const xml::Element*> AlignSymbolElements(
-    const xml::Element& element, const std::vector<int32_t>& symbol_ids) {
-  std::vector<const xml::Element*> out;
+template <typename ElementT>
+std::vector<const ElementT*> AlignSymbolElements(
+    const ElementT& element, const std::vector<int32_t>& symbol_ids) {
+  std::vector<const ElementT*> out;
   out.reserve(symbol_ids.size());
-  for (const auto& child : element.children()) {
-    if (child->is_element()) {
-      out.push_back(&child->AsElement());
-    }
+  for (const ElementT& child : element.child_elements()) {
+    out.push_back(&child);
   }
   // Interleave text-run placeholders to line up with the symbols.
   const int32_t pcdata = dtd::PcdataSymbolId();
-  std::vector<const xml::Element*> aligned;
+  std::vector<const ElementT*> aligned;
   aligned.reserve(symbol_ids.size());
   size_t next_element = 0;
   for (int32_t symbol : symbol_ids) {
@@ -74,6 +90,11 @@ std::vector<const xml::Element*> AlignSymbolElements(
   }
   return aligned;
 }
+
+template std::vector<const xml::Element*> AlignSymbolElements(
+    const xml::Element& element, const std::vector<int32_t>& symbol_ids);
+template std::vector<const xml::ArenaElement*> AlignSymbolElements(
+    const xml::ArenaElement& element, const std::vector<int32_t>& symbol_ids);
 
 SimilarityEvaluator::SimilarityEvaluator(const dtd::Dtd& dtd,
                                          SimilarityOptions options)
@@ -99,15 +120,15 @@ SimilarityEvaluator::SimilarityEvaluator(const dtd::Dtd& dtd,
   }
 }
 
-double SimilarityEvaluator::TagScore(const std::string& a,
-                                     const std::string& b) const {
+double SimilarityEvaluator::TagScore(std::string_view a,
+                                     std::string_view b) const {
   if (options_.thesaurus != nullptr) return options_.thesaurus->Score(a, b);
   return a == b ? 1.0 : 0.0;
 }
 
-double SimilarityEvaluator::TagScoreId(int32_t a_id, const std::string& a,
+double SimilarityEvaluator::TagScoreId(int32_t a_id, std::string_view a,
                                        int32_t b_id,
-                                       const std::string& b) const {
+                                       std::string_view b) const {
   if (a_id >= 0 && b_id >= 0) {
     if (a_id == b_id) return 1.0;
     if (options_.thesaurus == nullptr) return 0.0;
@@ -130,7 +151,8 @@ const dtd::Automaton* SimilarityEvaluator::FindAutomaton(
   return id < 0 ? nullptr : FindAutomaton(id);
 }
 
-Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
+template <typename ElementT>
+Triple SimilarityEvaluator::GlobalTripleCached(const ElementT& element,
                                                int32_t label_id,
                                                EvalContext& ctx) const {
   if (const Triple* found = ctx.memo->Find(&element, label_id)) {
@@ -141,9 +163,10 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
   // identical triple, for any element anywhere in the stream.
   SubtreeScoreCache::Key cache_key;
   bool use_cache = false;
-  if (ctx.cache != nullptr && ctx.fingerprints != nullptr) {
-    const SubtreeStats* stats = ctx.fingerprints->Find(&element);
-    if (stats != nullptr &&
+  if (ctx.cache != nullptr) {
+    const std::optional<SubtreeStats> stats =
+        SubtreeStatsOf(element, ctx.fingerprints);
+    if (stats.has_value() &&
         stats->element_count >= ctx.cache->config().min_subtree_elements) {
       cache_key = {epoch_, stats->fp_hi, stats->fp_lo, label_id};
       use_cache = true;
@@ -166,7 +189,7 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
     return triple;
   }
 
-  std::vector<const xml::Element*> children =
+  std::vector<const ElementT*> children =
       AlignSymbolElements(element, symbol_ids);
   const int32_t pcdata = dtd::PcdataSymbolId();
 
@@ -180,8 +203,9 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
       return pos_label_id == pcdata ? 1.0 : -1.0;
     }
     if (pos_label_id == pcdata) return -1.0;
-    double tag = TagScoreId(children[i]->tag_id(), children[i]->tag(),
-                            pos_label_id, automaton->LabelOfPosition(pos));
+    double tag =
+        TagScoreId(xml::TagIdOf(*children[i]), xml::TagOf(*children[i]),
+                   pos_label_id, automaton->LabelOfPosition(pos));
     if (tag <= 0.0) return -1.0;
     Triple sub = GlobalTripleCached(*children[i], pos_label_id, ctx);
     child_triples.emplace(std::make_pair(i, pos_label_id), sub);
@@ -202,14 +226,16 @@ Triple SimilarityEvaluator::GlobalTripleCached(const xml::Element& element,
       triple.common += 1.0;  // matched text
       continue;
     }
+    const int32_t child_id = xml::TagIdOf(*children[i]);
+    const std::string_view child_tag = xml::TagOf(*children[i]);
     int32_t matched_id = a.position >= 0
                              ? automaton->LabelIdOfPosition(a.position)
-                             : children[i]->tag_id();
-    const std::string& matched_label =
-        a.position >= 0 ? automaton->LabelOfPosition(a.position)
-                        : children[i]->tag();
-    double tag = TagScoreId(children[i]->tag_id(), children[i]->tag(),
-                            matched_id, matched_label);
+                             : child_id;
+    const std::string_view matched_label =
+        a.position >= 0
+            ? std::string_view(automaton->LabelOfPosition(a.position))
+            : child_tag;
+    double tag = TagScoreId(child_id, child_tag, matched_id, matched_label);
     auto sub_it = child_triples.find(std::make_pair(i, matched_id));
     Triple sub =
         sub_it == child_triples.end()
@@ -301,13 +327,13 @@ double SimilarityEvaluator::RootTagScore(const xml::Element& root) const {
                     dtd_->root_name());
 }
 
-double SimilarityEvaluator::DocumentSimilarity(
-    const xml::Document& doc) const {
-  return DocumentSimilarity(doc, nullptr);
+double SimilarityEvaluator::RootTagScore(const xml::ArenaElement& root) const {
+  return TagScoreId(root.tag_id, root.tag, root_name_id_, dtd_->root_name());
 }
 
-double SimilarityEvaluator::DocumentSimilarity(
-    const xml::Document& doc, const SubtreeFingerprints* fingerprints) const {
+template <typename DocumentT>
+double SimilarityEvaluator::ScoreDocument(
+    const DocumentT& doc, const SubtreeFingerprints* fingerprints) const {
   // A call-local memo keeps this entry point safe for concurrent use on a
   // shared evaluator; it is scoped to one document anyway.
   if (!doc.has_root() || dtd_->empty()) return 0.0;
@@ -319,17 +345,34 @@ double SimilarityEvaluator::DocumentSimilarity(
   ctx.cache = cache_;
   ctx.fingerprints = fingerprints;
   std::optional<SubtreeFingerprints> local_fingerprints;
-  if (cache_ != nullptr && fingerprints == nullptr) {
-    local_fingerprints.emplace(doc.root());
-    ctx.fingerprints = &*local_fingerprints;
+  if constexpr (std::is_same_v<DocumentT, xml::Document>) {
+    if (cache_ != nullptr && fingerprints == nullptr) {
+      local_fingerprints.emplace(doc.root());
+      ctx.fingerprints = &*local_fingerprints;
+    }
   }
-  Triple triple =
-      GlobalTripleCached(doc.root(), root_name_id_, ctx);
+  Triple triple = GlobalTripleCached(doc.root(), root_name_id_, ctx);
   return tag * Evaluate(triple, options_.weights);
 }
 
-double SimilarityEvaluator::ScoreUpperBound(
-    const xml::Document& doc,
+double SimilarityEvaluator::DocumentSimilarity(
+    const xml::Document& doc) const {
+  return ScoreDocument(doc, nullptr);
+}
+
+double SimilarityEvaluator::DocumentSimilarity(
+    const xml::Document& doc, const SubtreeFingerprints* fingerprints) const {
+  return ScoreDocument(doc, fingerprints);
+}
+
+double SimilarityEvaluator::DocumentSimilarity(
+    const xml::ArenaDocument& doc) const {
+  return ScoreDocument(doc, nullptr);
+}
+
+template <typename DocumentT>
+double SimilarityEvaluator::UpperBound(
+    const DocumentT& doc,
     const std::vector<int32_t>& root_symbol_ids) const {
   if (!doc.has_root() || dtd_->empty()) return 0.0;
   double tag = RootTagScore(doc.root());
@@ -360,6 +403,18 @@ double SimilarityEvaluator::ScoreUpperBound(
   double denom = matched_mass + w.plus_weight * static_cast<double>(unmatched);
   if (denom <= 0.0) return tag;
   return tag * (matched_mass / denom);
+}
+
+double SimilarityEvaluator::ScoreUpperBound(
+    const xml::Document& doc,
+    const std::vector<int32_t>& root_symbol_ids) const {
+  return UpperBound(doc, root_symbol_ids);
+}
+
+double SimilarityEvaluator::ScoreUpperBound(
+    const xml::ArenaDocument& doc,
+    const std::vector<int32_t>& root_symbol_ids) const {
+  return UpperBound(doc, root_symbol_ids);
 }
 
 std::vector<ElementReport> SimilarityEvaluator::EvaluateElements(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "similarity/score_cache.h"
 #include "similarity/thesaurus.h"
 #include "similarity/triple.h"
+#include "xml/arena.h"
 #include "xml/document.h"
 
 namespace dtdevolve::similarity {
@@ -42,14 +44,15 @@ struct ElementReport {
 };
 
 /// Call-scoped memo of the recursive global evaluation: an insert-only
-/// open-addressing flat hash table keyed by (element address, interned
-/// declaration label id). Replaces the former ordered map, whose string
-/// keys were copied on every probe.
+/// open-addressing flat hash table keyed by (node address, interned
+/// declaration label id). The node is an `xml::Element` or an
+/// `xml::ArenaElement` — one evaluation only ever sees one tree, so the
+/// address alone identifies the node.
 class TripleMemo {
  public:
   TripleMemo() { slots_.resize(kInitialCapacity); }
 
-  const Triple* Find(const xml::Element* element, int32_t label) const {
+  const Triple* Find(const void* element, int32_t label) const {
     size_t mask = slots_.size() - 1;
     for (size_t i = HashKey(element, label) & mask;; i = (i + 1) & mask) {
       const Slot& slot = slots_[i];
@@ -58,8 +61,7 @@ class TripleMemo {
     }
   }
 
-  void Insert(const xml::Element* element, int32_t label,
-              const Triple& value) {
+  void Insert(const void* element, int32_t label, const Triple& value) {
     if ((size_ + 1) * 3 > slots_.size() * 2) Grow();
     InsertNoGrow(element, label, value);
     ++size_;
@@ -74,14 +76,14 @@ class TripleMemo {
 
  private:
   struct Slot {
-    const xml::Element* element = nullptr;
+    const void* element = nullptr;
     int32_t label = 0;
     Triple value;
   };
 
   static constexpr size_t kInitialCapacity = 64;  // power of two
 
-  static size_t HashKey(const xml::Element* element, int32_t label) {
+  static size_t HashKey(const void* element, int32_t label) {
     // Element addresses are ≥ 8-byte aligned; drop the dead bits and mix
     // with the label by a 64-bit odd multiplier.
     uint64_t h = (reinterpret_cast<uintptr_t>(element) >> 3) ^
@@ -91,8 +93,7 @@ class TripleMemo {
     return static_cast<size_t>(h);
   }
 
-  void InsertNoGrow(const xml::Element* element, int32_t label,
-                    const Triple& value) {
+  void InsertNoGrow(const void* element, int32_t label, const Triple& value) {
     size_t mask = slots_.size() - 1;
     for (size_t i = HashKey(element, label) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
@@ -128,9 +129,11 @@ class TripleMemo {
 /// `validate::ContentSymbolIds(element)`; a mismatched sequence (more
 /// element symbols than child elements, or leftovers) is tolerated
 /// defensively — surplus symbols map to nullptr, surplus children are
-/// ignored — instead of indexing out of bounds.
-std::vector<const xml::Element*> AlignSymbolElements(
-    const xml::Element& element, const std::vector<int32_t>& symbol_ids);
+/// ignored — instead of indexing out of bounds. `ElementT` is
+/// `xml::Element` or `xml::ArenaElement`.
+template <typename ElementT>
+std::vector<const ElementT*> AlignSymbolElements(
+    const ElementT& element, const std::vector<int32_t>& symbol_ids);
 
 /// The structural-similarity measure of the companion paper [2], extended
 /// with the *local similarity* variant this paper introduces (§3.1):
@@ -154,6 +157,15 @@ std::vector<const xml::Element*> AlignSymbolElements(
 /// across documents keyed by structural fingerprint and this evaluator's
 /// `epoch()` (drawn fresh at construction, which is what invalidates the
 /// cache when a DTD evolves and its evaluator is rebuilt).
+///
+/// Two tree types, one recursion: the document-level entry points take a
+/// DOM `xml::Document` or a streaming-parsed `xml::ArenaDocument`, and
+/// both run the same templated recursion. An arena element carries its
+/// parse-time fingerprint, so arena scoring keys the shared cache off
+/// the element itself; a DOM tree needs a `SubtreeFingerprints` index.
+/// Arena and DOM fingerprints and content symbols are equal by
+/// construction, so both representations of one document score
+/// bit-identically against any DTD.
 ///
 /// Thread-safety: after construction the evaluator is immutable except
 /// for the cross-call memo of the single-element API. `DocumentSimilarity`
@@ -186,9 +198,16 @@ class SimilarityEvaluator {
   double DocumentSimilarity(const xml::Document& doc,
                             const SubtreeFingerprints* fingerprints) const;
 
+  /// Arena variant: scores the arena tree in place — no DOM, no
+  /// fingerprint index (each element carries its own). Bit-identical to
+  /// the DOM overload on the materialized document. The arena must
+  /// outlive the call. Thread-safe.
+  double DocumentSimilarity(const xml::ArenaDocument& doc) const;
+
   /// Tag similarity of `root`'s tag against this DTD's root declaration
   /// name — the factor that scales (and gates) `DocumentSimilarity`.
   double RootTagScore(const xml::Element& root) const;
+  double RootTagScore(const xml::ArenaElement& root) const;
 
   /// Conservative upper bound on `DocumentSimilarity(doc)`, computed from
   /// the root tag and the document's root content-symbol ids
@@ -204,6 +223,8 @@ class SimilarityEvaluator {
   /// thesaurus in play, or u = 0). The classifier sorts DTDs by this
   /// bound and skips evaluations that cannot beat the best score so far.
   double ScoreUpperBound(const xml::Document& doc,
+                         const std::vector<int32_t>& root_symbol_ids) const;
+  double ScoreUpperBound(const xml::ArenaDocument& doc,
                          const std::vector<int32_t>& root_symbol_ids) const;
 
   /// Global triple / similarity of one element against declaration
@@ -258,24 +279,37 @@ class SimilarityEvaluator {
   /// memo plus the optional shared-cache machinery.
   struct EvalContext {
     TripleMemo* memo = nullptr;
+    /// DOM trees only; arena elements carry their own fingerprints.
     const SubtreeFingerprints* fingerprints = nullptr;
     SubtreeScoreCache* cache = nullptr;
   };
 
   /// Tag similarity per options (1/0 equality unless a thesaurus is set).
-  double TagScore(const std::string& a, const std::string& b) const;
+  double TagScore(std::string_view a, std::string_view b) const;
   /// Id fast path: equal non-negative ids short-circuit to 1 without
   /// touching strings. A negative id is the interning-overflow sentinel
   /// shared by every overflow tag, so either side being negative falls
   /// back to `TagScore` on the strings.
-  double TagScoreId(int32_t a_id, const std::string& a, int32_t b_id,
-                    const std::string& b) const;
+  double TagScoreId(int32_t a_id, std::string_view a, int32_t b_id,
+                    std::string_view b) const;
 
   const dtd::Automaton* FindAutomaton(int32_t label_id) const;
   const dtd::Automaton* FindAutomaton(const std::string& name) const;
 
-  Triple GlobalTripleCached(const xml::Element& element, int32_t label_id,
+  /// The recursion, over either tree type (defined and instantiated in
+  /// the .cc for `xml::Element` and `xml::ArenaElement`).
+  template <typename ElementT>
+  Triple GlobalTripleCached(const ElementT& element, int32_t label_id,
                             EvalContext& ctx) const;
+  /// `DocumentSimilarity` over either document type: root-tag gate times
+  /// the root's global evaluation. `fingerprints` is read for DOM
+  /// documents only (built on demand when a cache is attached).
+  template <typename DocumentT>
+  double ScoreDocument(const DocumentT& doc,
+                       const SubtreeFingerprints* fingerprints) const;
+  template <typename DocumentT>
+  double UpperBound(const DocumentT& doc,
+                    const std::vector<int32_t>& root_symbol_ids) const;
 
   const dtd::Dtd* dtd_;
   SimilarityOptions options_;

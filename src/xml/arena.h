@@ -176,6 +176,16 @@ struct ArenaElement {
   }
 };
 
+/// Uniform tag accessors for code templated over the element type
+/// (`Element` or `ArenaElement`): the recorder's walk and the
+/// similarity recursion read both trees through these.
+inline std::string_view TagOf(const Element& element) { return element.tag(); }
+inline std::string_view TagOf(const ArenaElement& element) {
+  return element.tag;
+}
+inline int32_t TagIdOf(const Element& element) { return element.tag_id(); }
+inline int32_t TagIdOf(const ArenaElement& element) { return element.tag_id; }
+
 /// A document parsed by the streaming path: DOCTYPE info plus the root
 /// element, all storage owned by the embedded arena. Move-only, like
 /// `xml::Document`; moving never invalidates any view into the tree.

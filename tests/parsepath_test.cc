@@ -18,7 +18,10 @@
 #include "check/oracle.h"
 #include "classify/classifier.h"
 #include "similarity/score_cache.h"
+#include "similarity/thesaurus.h"
 #include "util/string_util.h"
+#include "util/symbol_table.h"
+#include "util/thread_pool.h"
 #include "workload/scenarios.h"
 #include "xml/document.h"
 #include "xml/parser.h"
@@ -172,12 +175,13 @@ struct ClassifierFixture {
   std::vector<std::string> names;
   std::optional<classify::Classifier> classifier;
 
-  explicit ClassifierFixture(classify::ClassifierOptions options) {
+  explicit ClassifierFixture(classify::ClassifierOptions options,
+                             similarity::SimilarityOptions similarity = {}) {
     for (workload::ScenarioStream& stream : workload::MakeAllScenarios(5, 1)) {
       names.push_back(stream.name());
       dtds.push_back(stream.InitialDtd());
     }
-    classifier.emplace(0.5, similarity::SimilarityOptions{}, options);
+    classifier.emplace(0.5, similarity, options);
     for (size_t i = 0; i < dtds.size(); ++i) {
       classifier->AddDtd(names[i], &dtds[i]);
     }
@@ -193,40 +197,148 @@ void ExpectOutcomesEqual(const classify::ClassificationOutcome& a,
   EXPECT_EQ(a.scores, b.scores) << label;
 }
 
-TEST(ParsePathTest, ClassificationOutcomesIdenticalAcrossPaths) {
-  classify::ClassifierOptions no_memo;
-  no_memo.enable_classification_memo = false;
-  ClassifierFixture reference(no_memo);
-  ClassifierFixture memoized(classify::ClassifierOptions{});
+/// Pins the global symbol table at its current contents, so every tag
+/// not interned yet parses to the `kNoSymbol` sentinel.
+struct FrozenSymbolsGuard {
+  FrozenSymbolsGuard() { util::GlobalSymbols().set_capacity(0, 0); }
+  ~FrozenSymbolsGuard() {
+    util::GlobalSymbols().set_capacity(util::SymbolTable::kDefaultMaxEntries,
+                                       util::SymbolTable::kDefaultMaxBytes);
+  }
+};
 
+/// One input of the scoring differential, parsed on both paths.
+struct ParsedPair {
+  std::string label;
+  xml::Document dom;
+  xml::ArenaDocument arena;
+};
+
+void AddParsedPair(const std::string& text, const std::string& label,
+                   std::vector<ParsedPair>& out) {
+  StatusOr<xml::Document> dom = xml::ParseDocument(text);
+  StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(text);
+  ASSERT_TRUE(dom.ok() && arena.ok()) << label;
+  out.push_back({label, std::move(dom).value(), std::move(arena).value()});
+}
+
+/// The differential's inputs: the four workload streams, documents whose
+/// text runs are split by comments and CDATA sections (one DOM text
+/// child per piece, one pre-merged arena run), and documents whose tags
+/// were parsed past the symbol-table bound (`kNoSymbol` ids, so tag
+/// comparison falls back to strings).
+std::vector<ParsedPair> DifferentialInputs() {
+  std::vector<ParsedPair> inputs;
   xml::WriteOptions compact;
   compact.indent = false;
-  size_t documents = 0;
   for (workload::ScenarioStream& stream : workload::MakeAllScenarios(23, 10)) {
     while (!stream.Done()) {
-      std::string text = xml::WriteDocument(stream.Next(), compact);
-      const std::string label = stream.name() + " #" + std::to_string(documents++);
-      StatusOr<xml::Document> dom = xml::ParseDocument(text);
-      StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(text);
-      ASSERT_TRUE(dom.ok() && arena.ok()) << label;
-      classify::ClassificationOutcome want = reference.classifier->Classify(*dom);
-      std::optional<xml::Document> materialized;
-      classify::ClassificationOutcome got =
-          memoized.classifier->ClassifyArena(*arena, &materialized);
-      ExpectOutcomesEqual(want, got, label);
-      // Second pass: the memo must replay the identical outcome without
-      // materializing a DOM.
-      std::optional<xml::Document> second_dom;
-      classify::ClassificationOutcome replayed =
-          memoized.classifier->ClassifyArena(*arena, &second_dom);
-      ExpectOutcomesEqual(want, replayed, label + " (replay)");
-      EXPECT_FALSE(second_dom.has_value()) << label;
+      AddParsedPair(xml::WriteDocument(stream.Next(), compact),
+                    stream.name() + " #" + std::to_string(inputs.size()),
+                    inputs);
     }
   }
-  const classify::ClassificationMemo* memo =
-      memoized.classifier->classification_memo();
-  ASSERT_NE(memo, nullptr);
-  EXPECT_GT(memo->GetStats().hits, 0u);
+  const std::vector<std::string> split_text = {
+      "<forum><thread><title>a<!--c-->b</title><post>x<![CDATA[y]]>z"
+      "</post></thread></forum>",
+      "<news><item><headline>h<!--1--><!--2-->l</headline><body><![CDATA[]]>"
+      "text<!--c--> <![CDATA[ more ]]></body></item></news>",
+      "<catalog><product>pre<name>n</name>mid<!--c-->dle<price>1</price>"
+      "<![CDATA[post]]></product></catalog>",
+      "<bibliography><book><title>t<!--c--></title>x<!--c-->y<author>a"
+      "</author></book></bibliography>",
+  };
+  for (const std::string& text : split_text) {
+    AddParsedPair(text, "split text: " + text, inputs);
+  }
+  FrozenSymbolsGuard frozen;
+  const std::vector<std::string> overflow = {
+      "<forum><thread><ovpp-subject>s</ovpp-subject><post>p</post>"
+      "</thread></forum>",
+      "<catalog><product><name>n</name><ovpp-cost>1</ovpp-cost>"
+      "<ovpp-extra><ovpp-cost>2</ovpp-cost></ovpp-extra></product></catalog>",
+      "<ovpp-root><vendor>v</vendor><product><name>n</name><ovpp-cost>1"
+      "</ovpp-cost></product></ovpp-root>",
+  };
+  for (const std::string& text : overflow) {
+    AddParsedPair(text, "overflow tags: " + text, inputs);
+  }
+  return inputs;
+}
+
+TEST(ParsePathTest, ClassificationOutcomesIdenticalAcrossPaths) {
+  std::vector<ParsedPair> inputs = DifferentialInputs();
+  ASSERT_FALSE(HasFailure());
+  ASSERT_GE(inputs.size(), 47u);
+  // The overflow inputs must really carry sentinel ids on both paths.
+  const ParsedPair& alien = inputs.back();
+  ASSERT_EQ(alien.dom.root().tag_id(), util::SymbolTable::kNoSymbol);
+  ASSERT_EQ(alien.arena.root().tag_id, util::SymbolTable::kNoSymbol);
+
+  // A thesaurus moves tag scoring off the id fast path: overflow tags
+  // then match DTD labels by string only.
+  similarity::Thesaurus thesaurus;
+  thesaurus.AddSynonym("ovpp-subject", "title", 0.8);
+  thesaurus.AddSynonym("ovpp-cost", "price", 0.6);
+  thesaurus.AddSynonym("ovpp-root", "catalog", 0.7);
+  similarity::SimilarityOptions with_thesaurus;
+  with_thesaurus.thesaurus = &thesaurus;
+
+  struct Config {
+    std::string name;
+    classify::ClassifierOptions options;
+    similarity::SimilarityOptions similarity;
+  };
+  std::vector<Config> configs(5);
+  configs[0].name = "defaults";
+  configs[1].name = "memo off";
+  configs[1].options.enable_classification_memo = false;
+  configs[2].name = "pruning off";
+  configs[2].options.enable_pruning = false;
+  configs[3].name = "score cache off";
+  configs[3].options.enable_score_cache = false;
+  configs[4].name = "thesaurus";
+  configs[4].similarity = with_thesaurus;
+
+  util::ThreadPool pool(2);
+  std::vector<const xml::ArenaDocument*> arena_docs;
+  for (const ParsedPair& input : inputs) arena_docs.push_back(&input.arena);
+  for (const Config& config : configs) {
+    // The DOM reference scores every document (its memo is off); the
+    // arena side runs the configuration as given, so with the memo on
+    // the second pass replays. A third classifier scores all arena
+    // trees as one batch of misses on a pool.
+    classify::ClassifierOptions reference_options = config.options;
+    reference_options.enable_classification_memo = false;
+    ClassifierFixture reference(reference_options, config.similarity);
+    ClassifierFixture arena_side(config.options, config.similarity);
+    ClassifierFixture batched(config.options, config.similarity);
+    const std::vector<classify::ClassificationOutcome> batch =
+        batched.classifier->ClassifyMisses(arena_docs, &pool);
+    ASSERT_EQ(batch.size(), inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const std::string label = config.name + " / " + inputs[i].label;
+      const classify::ClassificationOutcome want =
+          reference.classifier->Classify(inputs[i].dom);
+      const xml::ArenaDocument& arena = inputs[i].arena;
+      ExpectOutcomesEqual(want, arena_side.classifier->Classify(arena), label);
+      ExpectOutcomesEqual(want, arena_side.classifier->Classify(arena),
+                          label + " (second pass)");
+      ExpectOutcomesEqual(want, batch[i], label + " (batch)");
+      // The batch inserted every outcome into its memo.
+      EXPECT_EQ(batched.classifier->MemoProbe(inputs[i].arena).has_value(),
+                config.options.enable_classification_memo)
+          << label;
+    }
+    const classify::ClassificationMemo* memo =
+        arena_side.classifier->classification_memo();
+    if (config.options.enable_classification_memo) {
+      ASSERT_NE(memo, nullptr) << config.name;
+      EXPECT_GT(memo->GetStats().hits, 0u) << config.name;
+    } else {
+      EXPECT_EQ(memo, nullptr) << config.name;
+    }
+  }
 }
 
 TEST(ParsePathTest, MemoProbeReplaysOnlyAfterClassification) {
@@ -235,10 +347,7 @@ TEST(ParsePathTest, MemoProbeReplaysOnlyAfterClassification) {
       xml::ParseArenaDocument("<bibliography></bibliography>");
   ASSERT_TRUE(arena.ok());
   EXPECT_FALSE(fixture.classifier->MemoProbe(*arena).has_value());
-  std::optional<xml::Document> materialized;
-  classify::ClassificationOutcome scored =
-      fixture.classifier->ClassifyArena(*arena, &materialized);
-  EXPECT_TRUE(materialized.has_value());  // first sight: a miss, DOM built
+  classify::ClassificationOutcome scored = fixture.classifier->Classify(*arena);
   std::optional<classify::ClassificationOutcome> probed =
       fixture.classifier->MemoProbe(*arena);
   ASSERT_TRUE(probed.has_value());
@@ -274,8 +383,7 @@ TEST(ParsePathTest, EveryOutcomeRelevantMutationBumpsSetEpoch) {
   StatusOr<xml::ArenaDocument> arena =
       xml::ParseArenaDocument("<bibliography></bibliography>");
   ASSERT_TRUE(arena.ok());
-  std::optional<xml::Document> materialized;
-  (void)classifier.ClassifyArena(*arena, &materialized);
+  (void)classifier.Classify(*arena);
   EXPECT_TRUE(classifier.MemoProbe(*arena).has_value());
   classifier.set_sigma(0.4);
   EXPECT_FALSE(classifier.MemoProbe(*arena).has_value());

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "dtd/dtd_parser.h"
+#include "similarity/score_cache.h"
 #include "similarity/similarity.h"
+#include "validate/validator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 
 namespace dtdevolve::similarity {
 namespace {
@@ -255,6 +258,79 @@ TEST(SimilarityTest, AnyDeclarationGivesFullCredit) {
   SimilarityEvaluator evaluator(dtd);
   xml::Document doc = MakeDoc("<box><x>1</x><x>2</x>text</box>");
   EXPECT_DOUBLE_EQ(evaluator.DocumentSimilarity(doc), 1.0);
+}
+
+TEST(SimilarityTest, ArenaAndDomScoreIdentically) {
+  // One recursion, two tree types: the arena instantiation must score
+  // every document bit-identically to the DOM one, bound included, with
+  // and without a thesaurus and with the shared subtree cache (keyed off
+  // the arena element's own fingerprint vs the DOM fingerprint index).
+  dtd::Dtd dtd = MakeDtd(R"(
+    <!ELEMENT library (shelf+, note?)>
+    <!ELEMENT shelf (book | magazine)*>
+    <!ELEMENT book (title, author+, year?)>
+    <!ELEMENT magazine (title, volume)>
+    <!ELEMENT title (#PCDATA)> <!ELEMENT author (#PCDATA)>
+    <!ELEMENT year (#PCDATA)> <!ELEMENT volume (#PCDATA)>
+    <!ELEMENT note (#PCDATA | title)*>
+  )");
+  const std::vector<std::string> docs = {
+      "<library><shelf><book><title>t</title><author>a</author></book>"
+      "</shelf></library>",
+      "<library><shelf><book><title>t</title><writer>w</writer><year>1"
+      "</year></book><magazine><title>m</title></magazine></shelf>"
+      "<note>n<title>x</title>tail</note></library>",
+      "<library><shelf><book><title>a<!--c-->b</title><author><![CDATA[x]]>"
+      "y</author></book></shelf><note>p<!--c-->q<![CDATA[r]]></note>"
+      "</library>",
+      "<library>stray text<shelf/><shelf><cd><track/></cd></shelf></library>",
+      "<library><shelf><book><title>1</title><author>a</author></book>"
+      "<book><title>2</title><author>a</author></book><book><title>3"
+      "</title><author>a</author></book></shelf><shelf><book><title>4"
+      "</title><author>a</author></book></shelf></library>",
+      "<archive><shelf><book><title>t</title></book></shelf></archive>",
+      "<library/>",
+  };
+  Thesaurus thesaurus;
+  thesaurus.AddSynonym("writer", "author", 0.9);
+  thesaurus.AddSynonym("archive", "library", 0.7);
+  thesaurus.AddSynonym("cd", "magazine", 0.4);
+  SimilarityOptions with_thesaurus;
+  with_thesaurus.thesaurus = &thesaurus;
+  SubtreeScoreCache cache;
+
+  for (const SimilarityOptions& options :
+       {SimilarityOptions{}, with_thesaurus}) {
+    for (SubtreeScoreCache* shared : {static_cast<SubtreeScoreCache*>(nullptr),
+                                      &cache}) {
+      SimilarityEvaluator evaluator(dtd, options);
+      evaluator.set_shared_cache(shared);
+      for (const std::string& text : docs) {
+        const std::string label =
+            text + (options.thesaurus ? " [thesaurus]" : "") +
+            (shared ? " [cache]" : "");
+        StatusOr<xml::Document> dom = xml::ParseDocument(text);
+        StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(text);
+        ASSERT_TRUE(dom.ok() && arena.ok()) << label;
+        // Twice: the second round reads the triples the first one cached.
+        for (int round = 0; round < 2; ++round) {
+          EXPECT_EQ(evaluator.DocumentSimilarity(*dom),
+                    evaluator.DocumentSimilarity(*arena))
+              << label;
+        }
+        EXPECT_EQ(evaluator.RootTagScore(dom->root()),
+                  evaluator.RootTagScore(arena->root()))
+            << label;
+        EXPECT_EQ(
+            evaluator.ScoreUpperBound(
+                *dom, validate::ContentSymbolIds(dom->root())),
+            evaluator.ScoreUpperBound(
+                *arena, validate::ContentSymbolIds(arena->root())))
+            << label;
+      }
+    }
+  }
+  EXPECT_GT(cache.GetStats().hits, 0u);
 }
 
 }  // namespace

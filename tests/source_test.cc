@@ -12,7 +12,10 @@
 #include "store/checkpoint.h"
 #include "validate/validator.h"
 #include "workload/scenarios.h"
+#include "obs/metrics.h"
+#include "util/thread_pool.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 
 namespace dtdevolve::core {
 namespace {
@@ -45,7 +48,9 @@ TEST(XmlSourceTest, AddDtdValidation) {
 }
 
 TEST(XmlSourceTest, ClassifiesIntoBestDtd) {
-  XmlSource source;
+  SourceOptions options;
+  options.keep_documents = true;  // InstancesOf is counted below
+  XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
   ASSERT_TRUE(source.AddDtdText("book", kBookDtd).ok());
 
@@ -200,7 +205,7 @@ TEST(XmlSourceTest, ForceEvolveAndCheck) {
 
 TEST(XmlSourceTest, KeepDocumentsFlag) {
   SourceOptions options;
-  options.keep_documents = false;
+  EXPECT_FALSE(options.keep_documents);  // unbounded store: opt-in only
   XmlSource source(options);
   ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
   ASSERT_TRUE(source
@@ -209,6 +214,62 @@ TEST(XmlSourceTest, KeepDocumentsFlag) {
                   .ok());
   EXPECT_TRUE(source.InstancesOf("mail").empty());
   EXPECT_EQ(source.FindExtended("mail")->documents_recorded(), 1u);
+}
+
+TEST(XmlSourceTest, OnlyRepositoryEntriesAreMaterialized) {
+  // A default source scores and records streaming-parsed documents on
+  // their arena trees; the only arena → DOM conversion left is the one
+  // that stores a document in the repository of unclassified documents.
+  XmlSource source;
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(source.AddDtdText("book", kBookDtd).ok());
+  obs::Counter materialized, classified, unclassified;
+  SourceMetrics metrics;
+  metrics.documents_materialized = &materialized;
+  metrics.documents_classified = &classified;
+  metrics.documents_unclassified = &unclassified;
+  source.set_metrics(metrics);
+
+  const std::string mail =
+      "<mail><from>a</from><to>b</to><body>x</body></mail>";
+  const std::string drifted =
+      "<mail><from>a</from><to>b</to><cc>c</cc><body>x</body></mail>";
+  const std::string book = "<book><title>t</title><author>a</author></book>";
+  const std::string alien = "<unrelated><z/><y/></unrelated>";
+  const std::string other_alien = "<stranger>text</stranger>";
+
+  // ProcessText: classified misses, a memo hit, an unclassified miss and
+  // an unclassified memo hit.
+  for (const std::string& text : {mail, mail, drifted, alien, book, alien}) {
+    ASSERT_TRUE(source.ProcessText(text).ok()) << text;
+  }
+  EXPECT_EQ(classified.Value(), 4u);
+  EXPECT_EQ(unclassified.Value(), 2u);
+  EXPECT_EQ(materialized.Value(), unclassified.Value());
+
+  // Arena ProcessBatch, inline and on a pool: fresh shapes, replays and
+  // repository entries mixed in one chunk.
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* batch_pool : {static_cast<util::ThreadPool*>(nullptr),
+                                       &pool}) {
+    std::vector<xml::ArenaDocument> docs;
+    const std::string fresh_book =
+        "<book><title>t</title><author>a</author><author>b</author></book>";
+    for (const std::string& text :
+         {mail, fresh_book, other_alien, drifted, alien, book, other_alien}) {
+      StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(text);
+      ASSERT_TRUE(doc.ok()) << text;
+      docs.push_back(std::move(doc).value());
+    }
+    std::vector<XmlSource::ProcessOutcome> outcomes =
+        source.ProcessBatch(std::move(docs), batch_pool);
+    ASSERT_EQ(outcomes.size(), 7u);
+  }
+  EXPECT_EQ(classified.Value(), 4u + 2 * 4u);
+  EXPECT_EQ(unclassified.Value(), 2u + 2 * 3u);
+  EXPECT_EQ(materialized.Value(), unclassified.Value());
+  EXPECT_EQ(source.repository().size(), unclassified.Value());
+  EXPECT_EQ(source.evolutions_performed(), 0u);
 }
 
 TEST(FormatEvolutionTest, MentionsWindowsAndModels) {

@@ -6,7 +6,10 @@
 #   * the fast path no longer classifies identically to the disabled
 #     fast path (outcome_mismatches != 0), or
 #   * the streaming parse path no longer ingests identically to the DOM
-#     reference path (ingest_outcome_mismatches != 0), or
+#     reference path (ingest_outcome_mismatches != 0), on the repetitive
+#     corpus or on the miss-heavy drifting one
+#     (miss_ingest_outcome_mismatches != 0; that leg's timings are
+#     reported with their spread but not gated), or
 #   * throughput regressed by more than 2x against the committed
 #     baseline's docs_per_second or ingest_docs_per_second (absolute
 #     numbers shift between machines; a >2x drop on the same fixed
@@ -105,6 +108,20 @@ if [ -n "$ingest_current" ]; then
   fi
 else
   echo "perf_smoke: skipping ingest leg (no ingest fields in bench output)"
+fi
+
+# --- Miss-heavy leg: drifting stream, arena scoring vs DOM reference ----
+
+CURRENT=BENCH_classification.json
+miss_mismatches=$(json_field $CURRENT miss_ingest_outcome_mismatches)
+echo "perf_smoke: miss-heavy ns/doc" \
+     "stream=$(json_field $CURRENT miss_stream_ns_per_doc)" \
+     "dom=$(json_field $CURRENT miss_dom_ns_per_doc)" \
+     "memo_hit_rate=$(json_field $CURRENT miss_memo_hit_rate)" \
+     "mismatches=$miss_mismatches"
+if [ "$miss_mismatches" != "0" ]; then
+  echo "perf_smoke: FAIL — miss-heavy ingest diverged from DOM reference" >&2
+  exit 2
 fi
 
 # --- Server leg: mixed multi-tenant ingest over loopback ----------------
