@@ -59,7 +59,7 @@ int main() {
   }
 
   std::printf("\n== evolution log ==\n");
-  for (const auto& event : source.events()) {
+  for (const auto& event : source.EventsSince(0).events) {
     if (event.kind == dtdevolve::core::SourceEvent::Kind::kEvolved) {
       std::printf("%s", event.detail.c_str());
     }

@@ -345,7 +345,7 @@ Fingerprint FingerprintOf(
   fp.emplace_back("outcomes", std::move(o));
 
   std::string e;
-  for (const core::SourceEvent& event : src.events()) {
+  for (const core::SourceEvent& event : src.EventsSince(0).events) {
     e += core::EventKindName(event.kind) + " " + event.dtd_name + " " +
          FormatDouble(event.similarity) + " " +
          std::to_string(event.document_index) + " " +
@@ -418,7 +418,7 @@ class ReferenceRun {
   }
 
   void Feed(const xml::Document& doc, uint64_t index) {
-    size_t events_before = src_.events().size();
+    const uint64_t events_before = src_.events_total();
     core::XmlSource::ProcessOutcome out = src_.Process(doc.Clone());
     outcomes_.push_back(out);
 
@@ -488,17 +488,18 @@ class ReferenceRun {
   /// the kReclassified events appended this step. Mirror those documents
   /// into their new DTD's shadow.
   void MirrorReclassified(const core::XmlSource::ProcessOutcome& out,
-                          size_t events_before, uint64_t index) {
+                          uint64_t events_before, uint64_t index) {
     std::set<int> still;
     for (int id : src_.repository().Ids()) still.insert(id);
     std::vector<int> removed;
     for (const auto& [id, doc] : repo_mirror_) {
       if (still.count(id) == 0) removed.push_back(id);
     }
+    const core::EventPage step = src_.EventsSince(events_before);
     std::vector<const core::SourceEvent*> reclassified;
-    for (size_t i = events_before; i < src_.events().size(); ++i) {
-      if (src_.events()[i].kind == core::SourceEvent::Kind::kReclassified) {
-        reclassified.push_back(&src_.events()[i]);
+    for (const core::SourceEvent& event : step.events) {
+      if (event.kind == core::SourceEvent::Kind::kReclassified) {
+        reclassified.push_back(&event);
       }
     }
     if (reclassified.size() != removed.size() ||
@@ -743,6 +744,16 @@ ScenarioResult RunScenario(uint64_t scenario_seed,
   }
   reference.Finish();
   result.evolutions = reference.source().evolutions_performed();
+  // The event section of the fingerprint covers the whole log only while
+  // the bounded log has overwritten nothing.
+  if (reference.source().events_total() >
+      core::XmlSource::kEventCapacity) {
+    result.violations.push_back(
+        {"event-log-complete", "", 0,
+         std::to_string(reference.source().events_total()) +
+             " events exceed the retained " +
+             std::to_string(core::XmlSource::kEventCapacity)});
+  }
 
   Fingerprint reference_fp =
       FingerprintOf(reference.source(), reference.outcomes());
@@ -1350,6 +1361,13 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
     if (outcome->reclassified == 0) break;
   }
 
+  if (reference.events_total() > core::XmlSource::kEventCapacity) {
+    AddInductionViolation(
+        result, "event-log-complete", "", 0,
+        std::to_string(reference.events_total()) +
+            " events exceed the retained " +
+            std::to_string(core::XmlSource::kEventCapacity));
+  }
   Fingerprint reference_fp = FingerprintOf(reference, outcomes);
   AppendInductionFingerprint(reference, &reference_fp);
   for (size_t jobs : options.jobs) {

@@ -13,18 +13,22 @@ uint64_t NextClassifierSetEpoch() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-size_t ClassificationMemo::KeyHash::operator()(const Key& key) const {
+size_t ClassificationMemo::KeyTraits::Hash(const Key& key) {
   uint64_t h = xml::FingerprintMix64(key.fp_hi, key.fp_lo);
   h = xml::FingerprintMix64(h, key.epoch);
   return static_cast<size_t>(h);
 }
 
+size_t ClassificationMemo::KeyTraits::Shard(const Key& key) {
+  return static_cast<size_t>(
+      (key.fp_lo ^ (key.epoch * 0xC2B2AE3D27D4EB4Full)) >> 56);
+}
+
 ClassificationMemo::ClassificationMemo() : ClassificationMemo(Config()) {}
 
-ClassificationMemo::ClassificationMemo(Config config) : config_(config) {
-  max_bytes_per_shard_ = std::max<size_t>(
-      1024, config_.capacity_bytes / kNumShards);
-}
+ClassificationMemo::ClassificationMemo(Config config)
+    : config_(config),
+      lru_(std::max<size_t>(1024, config.capacity_bytes / util::kEpochLruShards)) {}
 
 size_t ClassificationMemo::EntryCost(const ClassificationOutcome& outcome) {
   // Key + list node + hash node + outcome header, plus one ScoreEntry
@@ -37,91 +41,19 @@ size_t ClassificationMemo::EntryCost(const ClassificationOutcome& outcome) {
   return cost;
 }
 
-ClassificationMemo::Shard& ClassificationMemo::ShardFor(const Key& key) {
-  // fp_lo is already well mixed; the epoch keeps successive set states
-  // of one hot structure from pinning a single shard.
-  uint64_t h = key.fp_lo ^ (key.epoch * 0xC2B2AE3D27D4EB4Full);
-  return shards_[(h >> 56) % kNumShards];
-}
-
 bool ClassificationMemo::Lookup(const Key& key, ClassificationOutcome* out) {
-  Shard& shard = ShardFor(key);
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = it->second->outcome;
-      ++shard.hits;
-      hit = true;
-    } else {
-      ++shard.misses;
-    }
-  }
-  if (hit) {
-    if (hits_counter_ != nullptr) hits_counter_->Increment();
-  } else {
-    if (misses_counter_ != nullptr) misses_counter_->Increment();
-  }
+  const bool hit = lru_.Lookup(key, out);
+  obs::Counter* counter = hit ? hits_counter_ : misses_counter_;
+  if (counter != nullptr) counter->Increment();
   return hit;
 }
 
 void ClassificationMemo::Insert(const Key& key,
                                 const ClassificationOutcome& value) {
-  Shard& shard = ShardFor(key);
-  const size_t cost = EntryCost(value);
-  uint64_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.bytes -= it->second->cost;
-      it->second->outcome = value;
-      it->second->cost = cost;
-      shard.bytes += cost;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      shard.lru.push_front(Entry{key, value, cost});
-      shard.index.emplace(key, shard.lru.begin());
-      shard.bytes += cost;
-    }
-    while (shard.bytes > max_bytes_per_shard_ && shard.lru.size() > 1) {
-      const Entry& victim = shard.lru.back();
-      shard.bytes -= victim.cost;
-      shard.index.erase(victim.key);
-      shard.lru.pop_back();
-      ++shard.evictions;
-      ++evicted;
-    }
-  }
+  const uint64_t evicted = lru_.Insert(key, value, EntryCost(value));
   if (evictions_counter_ != nullptr && evicted > 0) {
     evictions_counter_->Increment(evicted);
   }
-}
-
-void ClassificationMemo::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-    shard.hits = 0;
-    shard.misses = 0;
-    shard.evictions = 0;
-  }
-}
-
-ClassificationMemo::Stats ClassificationMemo::GetStats() const {
-  Stats stats;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.evictions += shard.evictions;
-    stats.entries += shard.index.size();
-  }
-  return stats;
 }
 
 }  // namespace dtdevolve::classify

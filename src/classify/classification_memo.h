@@ -1,15 +1,12 @@
 #ifndef DTDEVOLVE_CLASSIFY_CLASSIFICATION_MEMO_H_
 #define DTDEVOLVE_CLASSIFY_CLASSIFICATION_MEMO_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
 
 #include "classify/outcome.h"
 #include "obs/metrics.h"
+#include "util/epoch_lru.h"
 
 namespace dtdevolve::classify {
 
@@ -17,10 +14,13 @@ namespace dtdevolve::classify {
 /// `Classifier` holds one and re-draws on every mutation that could
 /// change any outcome — DTD added/removed/invalidated, σ changed — so a
 /// memo entry keyed by an old epoch is unreachable the moment the set
-/// evolves, with no purge: exactly the score cache's epoch discipline,
-/// lifted from one evaluator to the whole classifier set. Global
-/// uniqueness also makes one memo safe to share across any number of
-/// classifiers (the multi-tenant `SourceManager` shares one budget).
+/// evolves: exactly the score cache's epoch discipline, lifted from one
+/// evaluator to the whole classifier set. The classifier then releases
+/// the superseded epoch (`ReleaseEpoch`), so the unreachable entries are
+/// freed at once instead of waiting for LRU pressure. Global uniqueness
+/// also makes one memo safe to share across any number of classifiers
+/// (the multi-tenant `SourceManager` shares one budget): releasing one
+/// classifier's epoch never touches another's entries.
 uint64_t NextClassifierSetEpoch();
 
 /// Sharded, mutex-striped, bounded LRU memo of whole classification
@@ -54,18 +54,9 @@ class ClassificationMemo {
     friend bool operator==(const Key&, const Key&) = default;
   };
 
-  /// Monotonic totals since construction (or the last `Clear`).
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t entries = 0;
-
-    double HitRate() const {
-      uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
-  };
+  /// Monotonic totals since construction (or the last `Clear`), plus
+  /// the current entry count and byte cost.
+  using Stats = util::EpochLruStats;
 
   ClassificationMemo();
   explicit ClassificationMemo(Config config);
@@ -78,10 +69,17 @@ class ClassificationMemo {
   /// Inserts (or refreshes) `key`, evicting LRU entries beyond the
   /// shard's byte budget.
   void Insert(const Key& key, const ClassificationOutcome& value);
+  /// Frees every entry of set-epoch `epoch` (a superseded classifier
+  /// state); work is proportional to the entries freed.
+  void ReleaseEpoch(uint64_t epoch) { lru_.ReleaseEpoch(epoch); }
+  /// Entries currently held under `epoch`.
+  uint64_t EntriesOfEpoch(uint64_t epoch) const {
+    return lru_.EntriesOfEpoch(epoch);
+  }
   /// Drops every entry and resets the statistics.
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
-  Stats GetStats() const;
+  Stats GetStats() const { return lru_.GetStats(); }
   const Config& config() const { return config_; }
 
   /// Optional `obs` counters bumped alongside the internal stats; any
@@ -94,36 +92,19 @@ class ClassificationMemo {
   }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
+  struct KeyTraits {
+    static size_t Hash(const Key& key);
+    /// fp_lo is already well mixed; the epoch keeps successive set
+    /// states of one hot structure from pinning a single shard.
+    static size_t Shard(const Key& key);
   };
-  struct Entry {
-    Key key;
-    ClassificationOutcome outcome;
-    size_t cost = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-    size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-
-  static constexpr size_t kNumShards = 16;
 
   /// Approximate footprint of one entry: fixed node overhead plus the
   /// outcome's per-DTD score entries.
   static size_t EntryCost(const ClassificationOutcome& outcome);
 
-  Shard& ShardFor(const Key& key);
-
   Config config_;
-  size_t max_bytes_per_shard_;
-  std::array<Shard, kNumShards> shards_;
+  util::EpochLru<Key, ClassificationOutcome, KeyTraits> lru_;
   obs::Counter* hits_counter_ = nullptr;
   obs::Counter* misses_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;

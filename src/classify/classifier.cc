@@ -62,6 +62,22 @@ Classifier::Classifier(double sigma, similarity::SimilarityOptions options,
   }
 }
 
+Classifier::~Classifier() {
+  if (ClassificationMemo* memo = effective_memo()) {
+    memo->ReleaseEpoch(set_epoch_);
+  }
+  // The evaluators release their cache epochs as they go, which must
+  // happen while an owned cache is still alive.
+  evaluators_.clear();
+}
+
+void Classifier::AdvanceSetEpoch() {
+  if (ClassificationMemo* memo = effective_memo()) {
+    memo->ReleaseEpoch(set_epoch_);
+  }
+  set_epoch_ = NextClassifierSetEpoch();
+}
+
 void Classifier::set_metrics(const ClassifierMetrics& metrics) {
   metrics_ = metrics;
   // Cache traffic counters are installed only on an owned cache: a shared
@@ -80,7 +96,7 @@ void Classifier::set_metrics(const ClassifierMetrics& metrics) {
 
 void Classifier::AddDtd(const std::string& name, const dtd::Dtd* dtd) {
   assert(dtd != nullptr);
-  set_epoch_ = NextClassifierSetEpoch();
+  AdvanceSetEpoch();
   dtds_[name] = dtd;
   auto evaluator =
       std::make_unique<similarity::SimilarityEvaluator>(*dtd, options_);
@@ -89,7 +105,7 @@ void Classifier::AddDtd(const std::string& name, const dtd::Dtd* dtd) {
 }
 
 bool Classifier::RemoveDtd(const std::string& name) {
-  set_epoch_ = NextClassifierSetEpoch();
+  AdvanceSetEpoch();
   evaluators_.erase(name);
   return dtds_.erase(name) > 0;
 }
@@ -99,11 +115,11 @@ void Classifier::Invalidate(const std::string& name) {
   if (it == dtds_.end()) return;
   // Like the per-evaluator epoch, the set-epoch re-draw is the memo
   // invalidation: outcomes scored against the old declarations are
-  // unreachable from here on.
-  set_epoch_ = NextClassifierSetEpoch();
+  // unreachable from here on, and freed.
+  AdvanceSetEpoch();
   // The fresh evaluator draws a fresh epoch, so every shared-cache entry
   // of the old evaluator is unreachable from here on — epoch keying is
-  // the invalidation.
+  // the invalidation — and the old evaluator frees them as it goes.
   auto evaluator = std::make_unique<similarity::SimilarityEvaluator>(
       *it->second, options_);
   evaluator->set_shared_cache(effective_cache());
@@ -111,7 +127,7 @@ void Classifier::Invalidate(const std::string& name) {
 }
 
 void Classifier::InvalidateAll() {
-  set_epoch_ = NextClassifierSetEpoch();
+  AdvanceSetEpoch();
   for (const auto& [name, dtd] : dtds_) {
     auto evaluator =
         std::make_unique<similarity::SimilarityEvaluator>(*dtd, options_);

@@ -109,7 +109,9 @@ struct ClassifierOptions {
 /// sub-σ documents and break byte-identical outcomes. Subtree triples
 /// are additionally shared across documents and batch workers through a
 /// `SubtreeScoreCache` keyed by evaluator epoch, which `Invalidate` /
-/// `InvalidateAll` bump implicitly by rebuilding evaluators.
+/// `InvalidateAll` bump implicitly by rebuilding evaluators. A
+/// superseded epoch — set-epoch or evaluator epoch — has its memo and
+/// cache entries freed at once, so both hold only live entries.
 ///
 /// The classifier holds non-owning pointers to the DTDs; call
 /// `Invalidate` after a DTD object changes (e.g. after evolution) so the
@@ -127,6 +129,9 @@ class Classifier {
  public:
   explicit Classifier(double sigma, similarity::SimilarityOptions options = {},
                       ClassifierOptions classifier_options = {});
+  /// Frees this classifier's entries from the memo and the score cache
+  /// (owned or shared).
+  ~Classifier();
 
   Classifier(const Classifier&) = delete;
   Classifier& operator=(const Classifier&) = delete;
@@ -136,7 +141,7 @@ class Classifier {
     sigma_ = sigma;
     // σ participates in `classified`, so memoized outcomes under the old
     // threshold must become unreachable.
-    set_epoch_ = NextClassifierSetEpoch();
+    AdvanceSetEpoch();
   }
 
   const ClassifierOptions& classifier_options() const {
@@ -155,8 +160,8 @@ class Classifier {
   /// Removes a DTD from the set; returns false when unknown.
   bool RemoveDtd(const std::string& name);
   /// Rebuilds the cached evaluator of `name` (the DTD object changed).
-  /// The fresh evaluator draws a new epoch, orphaning the stale shared-
-  /// cache entries of the old one.
+  /// The fresh evaluator draws a new epoch; the old one frees its
+  /// shared-cache entries as it is destroyed.
   void Invalidate(const std::string& name);
   void InvalidateAll();
 
@@ -253,12 +258,22 @@ class Classifier {
   /// The current set-epoch (changes on every outcome-relevant mutation);
   /// exposed for the memo-discipline tests.
   uint64_t set_epoch() const { return set_epoch_; }
+  /// The score-cache epoch of `name`'s evaluator (0 when unknown);
+  /// exposed for the epoch-release tests.
+  uint64_t evaluator_epoch(const std::string& name) const {
+    auto it = evaluators_.find(name);
+    return it == evaluators_.end() ? 0 : it->second->epoch();
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
 
   const similarity::SimilarityEvaluator& EvaluatorFor(
       const std::string& name) const;
+
+  /// Supersedes the current set-epoch: frees its memo entries and draws
+  /// a fresh one. Every outcome-relevant mutation goes through here.
+  void AdvanceSetEpoch();
 
   /// The candidate loop shared by both document types (defined and
   /// instantiated in the .cc for `xml::Document` and
@@ -317,7 +332,8 @@ class Classifier {
   /// Externally owned process-wide memo — takes precedence over `memo_`.
   ClassificationMemo* shared_memo_ = nullptr;
   /// Epoch of the current DTD-set + σ state, re-drawn (globally unique)
-  /// by every mutating entry point; the memo key's first component.
+  /// by every mutating entry point through `AdvanceSetEpoch`; the memo
+  /// key's first component.
   uint64_t set_epoch_ = 0;
 };
 

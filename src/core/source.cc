@@ -148,9 +148,8 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
     if (metrics_.documents_unclassified != nullptr) {
       metrics_.documents_unclassified->Increment();
     }
-    events_.push_back({SourceEvent::Kind::kUnclassified,
-                       classification.dtd_name, classification.similarity,
-                       index, ""});
+    LogEvent(SourceEvent::Kind::kUnclassified, classification.dtd_name,
+             classification.similarity, index);
     return outcome;
   }
 
@@ -172,8 +171,8 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   if (options_.keep_documents) {
     instances_.at(name).push_back(TakeDom(doc));
   }
-  events_.push_back({SourceEvent::Kind::kClassified, name,
-                     classification.similarity, index, ""});
+  LogEvent(SourceEvent::Kind::kClassified, name, classification.similarity,
+           index);
 
   if (!trigger_rules_.empty()) {
     // The trigger language replaces the plain τ check.
@@ -323,9 +322,34 @@ void XmlSource::AfterEvolution(const std::string& name,
   recorder->set_metrics(metrics_.documents_recorded,
                         metrics_.elements_recorded);
   recorders_[name] = std::move(recorder);
-  events_.push_back({SourceEvent::Kind::kEvolved, name, 0.0,
-                     documents_processed_ == 0 ? 0 : documents_processed_ - 1,
-                     FormatEvolution(result)});
+  LogEvent(SourceEvent::Kind::kEvolved, name, 0.0,
+           documents_processed_ == 0 ? 0 : documents_processed_ - 1,
+           FormatEvolution(result));
+}
+
+void XmlSource::LogEvent(SourceEvent::Kind kind, const std::string& dtd_name,
+                         double similarity, uint64_t document_index,
+                         std::string detail) {
+  SourceEvent event{kind, dtd_name, similarity, document_index,
+                    std::move(detail), events_total_};
+  if (events_.size() < kEventCapacity) {
+    events_.push_back(std::move(event));
+  } else {
+    events_[events_total_ % kEventCapacity] = std::move(event);
+  }
+  ++events_total_;
+}
+
+EventPage XmlSource::EventsSince(uint64_t since) const {
+  EventPage page;
+  page.next = events_total_;
+  page.oldest = events_total_ - events_.size();
+  const uint64_t from = std::max(since, page.oldest);
+  if (since < page.oldest) page.missed = page.oldest - since;
+  for (uint64_t seq = from; seq < page.next; ++seq) {
+    page.events.push_back(events_[seq % kEventCapacity]);
+  }
+  return page;
 }
 
 std::vector<std::string> XmlSource::DtdNames() const {
@@ -485,9 +509,8 @@ Status XmlSource::AdoptInducedDtd(const std::string& name,
   if (metrics_.candidates_accepted != nullptr) {
     metrics_.candidates_accepted->Increment();
   }
-  events_.push_back({SourceEvent::Kind::kDtdInduced, name, 0.0,
-                     documents_processed_ == 0 ? 0 : documents_processed_ - 1,
-                     ""});
+  LogEvent(SourceEvent::Kind::kDtdInduced, name, 0.0,
+           documents_processed_ == 0 ? 0 : documents_processed_ - 1);
   const size_t recovered = ReclassifyRepository(pool);
   if (reclassified != nullptr) *reclassified = recovered;
   return Status::Ok();
@@ -541,8 +564,8 @@ size_t XmlSource::ReclassifyRepository(util::ThreadPool* pool) {
     if (options_.keep_documents) {
       instances_.at(name).push_back(std::move(doc));
     }
-    events_.push_back({SourceEvent::Kind::kReclassified, name,
-                       classification.similarity, 0, ""});
+    LogEvent(SourceEvent::Kind::kReclassified, name,
+             classification.similarity, 0);
     if (metrics_.documents_reclassified != nullptr) {
       metrics_.documents_reclassified->Increment();
     }

@@ -189,7 +189,16 @@ class XmlSource {
   /// which is off by default: the store is unbounded).
   const std::vector<xml::Document>& InstancesOf(const std::string& name) const;
 
-  const std::vector<SourceEvent>& events() const { return events_; }
+  /// Events the log retains at most: the oldest are overwritten beyond
+  /// it, so the log is bounded however long the source runs.
+  static constexpr size_t kEventCapacity = 4096;
+
+  /// Retained events with sequence number ≥ `since` (see `EventPage`).
+  EventPage EventsSince(uint64_t since) const;
+  /// Events ever logged (the next event's sequence number).
+  uint64_t events_total() const { return events_total_; }
+  /// Events currently retained (≤ kEventCapacity).
+  size_t events_retained() const { return events_.size(); }
   uint64_t documents_processed() const { return documents_processed_; }
   uint64_t documents_classified() const { return documents_classified_; }
   uint64_t evolutions_performed() const { return evolutions_performed_; }
@@ -324,6 +333,12 @@ class XmlSource {
   void AfterEvolution(const std::string& name,
                       const evolve::EvolutionResult& result);
 
+  /// Appends to the event log, overwriting the oldest event once
+  /// `kEventCapacity` are retained.
+  void LogEvent(SourceEvent::Kind kind, const std::string& dtd_name,
+                double similarity, uint64_t document_index,
+                std::string detail = "");
+
   SourceOptions options_;
   SourceMetrics metrics_;
   std::map<std::string, evolve::ExtendedDtd> dtds_;
@@ -341,7 +356,10 @@ class XmlSource {
   uint64_t candidates_accepted_ = 0;
   uint64_t candidates_rejected_ = 0;
   std::vector<TriggerRule> trigger_rules_;
+  /// Ring of the last `kEventCapacity` events: event `seq` lives at
+  /// slot `seq % kEventCapacity`.
   std::vector<SourceEvent> events_;
+  uint64_t events_total_ = 0;
   uint64_t documents_processed_ = 0;
   uint64_t documents_classified_ = 0;
   uint64_t evolutions_performed_ = 0;

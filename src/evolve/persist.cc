@@ -3,8 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -25,33 +24,67 @@ constexpr char kHeader[] = "dtdevolve-stats 1";
 /// snapshot — rejected instead of recursing off the stack.
 constexpr int kMaxPlusDepth = 512;
 
+/// Appends the decimal form of an unsigned counter (`%llu`).
+template <typename T>
+void AppendUint(T value, std::string& out) {
+  char buffer[24];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
+/// Appends `value` as `%.17g` does: `std::to_chars` in general format at
+/// precision 17 is defined as printf's conversion in the "C" locale, so
+/// the text round-trips exactly and matches older snapshots byte for
+/// byte.
+void AppendDouble(double value, std::string& out) {
+  char buffer[32];
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value,
+                    std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
+}
+
+/// `keyword n` plus a newline — the count line before each list.
+void AppendCountLine(const char* keyword, size_t n, std::string& out) {
+  out += keyword;
+  out += ' ';
+  AppendUint(n, out);
+  out += '\n';
+}
+
 void AppendOccurrence(const OccurrenceStats& occ, std::string& out) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof(buffer),
-                "occ %" PRIu64 " %" PRIu64 " %" PRIu64 " %.17g %zu",
-                occ.instances, occ.repeated, occ.occurrences,
-                occ.position_sum, occ.count_histogram.size());
-  out += buffer;
+  out += "occ ";
+  AppendUint(occ.instances, out);
+  out += ' ';
+  AppendUint(occ.repeated, out);
+  out += ' ';
+  AppendUint(occ.occurrences, out);
+  out += ' ';
+  AppendDouble(occ.position_sum, out);
+  out += ' ';
+  AppendUint(occ.count_histogram.size(), out);
   for (const auto& [count, n] : occ.count_histogram) {
-    std::snprintf(buffer, sizeof(buffer), " %u %" PRIu64, count, n);
-    out += buffer;
+    out += ' ';
+    AppendUint(count, out);
+    out += ' ';
+    AppendUint(n, out);
   }
   out += '\n';
 }
 
 void AppendElementStats(const ElementStats& stats, std::string& out) {
-  char buffer[192];
-  std::snprintf(buffer, sizeof(buffer),
-                "counters %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                " %" PRIu64 " %" PRIu64 "\n",
-                stats.valid_instances(), stats.invalid_instances(),
-                stats.docs_with_valid(), stats.docs_with_invalid(),
-                stats.text_instances(), stats.empty_instances());
-  out += buffer;
+  out += "counters";
+  for (uint64_t counter :
+       {stats.valid_instances(), stats.invalid_instances(),
+        stats.docs_with_valid(), stats.docs_with_invalid(),
+        stats.text_instances(), stats.empty_instances()}) {
+    out += ' ';
+    AppendUint(counter, out);
+  }
+  out += '\n';
 
-  std::snprintf(buffer, sizeof(buffer), "labels %zu\n",
-                stats.labels().size());
-  out += buffer;
+  AppendCountLine("labels", stats.labels().size(), out);
   for (const auto& [label, label_stats] : stats.labels()) {
     out += "label " + label + "\n";
     AppendOccurrence(label_stats.valid, out);
@@ -64,13 +97,12 @@ void AppendElementStats(const ElementStats& stats, std::string& out) {
     }
   }
 
-  std::snprintf(buffer, sizeof(buffer), "sequences %zu\n",
-                stats.sequences().size());
-  out += buffer;
+  AppendCountLine("sequences", stats.sequences().size(), out);
   for (const auto& [labels, count] : stats.sequences()) {
-    std::snprintf(buffer, sizeof(buffer), "seq %" PRIu64 " %zu", count,
-                  labels.size());
-    out += buffer;
+    out += "seq ";
+    AppendUint(count, out);
+    out += ' ';
+    AppendUint(labels.size(), out);
     for (const std::string& label : labels) {
       out += ' ';
       out += label;
@@ -78,13 +110,14 @@ void AppendElementStats(const ElementStats& stats, std::string& out) {
     out += '\n';
   }
 
-  std::snprintf(buffer, sizeof(buffer), "groups %zu\n",
-                stats.groups().size());
-  out += buffer;
+  AppendCountLine("groups", stats.groups().size(), out);
   for (const auto& [key, count] : stats.groups()) {
-    std::snprintf(buffer, sizeof(buffer), "group %" PRIu64 " %u %zu", count,
-                  key.repeat_count, key.labels.size());
-    out += buffer;
+    out += "group ";
+    AppendUint(count, out);
+    out += ' ';
+    AppendUint(key.repeat_count, out);
+    out += ' ';
+    AppendUint(key.labels.size(), out);
     for (const std::string& label : key.labels) {
       out += ' ';
       out += label;
@@ -92,16 +125,12 @@ void AppendElementStats(const ElementStats& stats, std::string& out) {
     out += '\n';
   }
 
-  std::snprintf(buffer, sizeof(buffer), "attrs %zu\n",
-                stats.attribute_counts().size());
-  out += buffer;
-  // Attribute names are unbounded — concatenate instead of routing them
-  // through the fixed-size buffer, which would silently truncate.
+  AppendCountLine("attrs", stats.attribute_counts().size(), out);
   for (const auto& [name, count] : stats.attribute_counts()) {
     out += "attr ";
     out += name;
     out += ' ';
-    out += std::to_string(count);
+    AppendUint(count, out);
     out += '\n';
   }
 }
@@ -297,17 +326,17 @@ std::string SerializeExtendedDtd(const ExtendedDtd& ext) {
   out += std::to_string(dtd_lines);
   out += '\n';
   out += dtd_text;
-  char buffer[160];
+  out += "aggregates ";
+  AppendUint(ext.documents_recorded(), out);
+  out += ' ';
+  AppendUint(ext.total_elements_recorded(), out);
+  out += ' ';
+  AppendUint(ext.invalid_elements_recorded(), out);
+  out += ' ';
+  AppendDouble(ext.divergence_sum(), out);
+  out += '\n';
 
-  std::snprintf(buffer, sizeof(buffer),
-                "aggregates %" PRIu64 " %" PRIu64 " %" PRIu64 " %.17g\n",
-                ext.documents_recorded(), ext.total_elements_recorded(),
-                ext.invalid_elements_recorded(), ext.divergence_sum());
-  out += buffer;
-
-  std::snprintf(buffer, sizeof(buffer), "stats %zu\n",
-                ext.all_stats().size());
-  out += buffer;
+  AppendCountLine("stats", ext.all_stats().size(), out);
   for (const auto& [name, stats] : ext.all_stats()) {
     out += "element " + name + "\n";
     AppendElementStats(stats, out);

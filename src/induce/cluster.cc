@@ -140,6 +140,7 @@ std::vector<Cluster> RepositoryClusterer::Clusters() const {
 
 ClusterStats RepositoryClusterer::GetStats() const {
   ClusterStats stats;
+  stats.groups = groups_.size();
   for (const std::vector<size_t>& cluster : clusters_) {
     size_t members = 0;
     size_t structures = 0;

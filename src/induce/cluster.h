@@ -55,6 +55,9 @@ struct ClusterStats {
   size_t documents = 0;
   /// Distinct structural fingerprints across all clusters.
   size_t distinct_structures = 0;
+  /// Structure groups held, including groups with no live member (a
+  /// group is never dropped: see `RepositoryClusterer::Remove`).
+  size_t groups = 0;
 };
 
 /// Incremental structural clustering over the repository of unclassified

@@ -152,12 +152,13 @@ HttpResponse JsonError(const Status& status) {
 }
 
 /// Bounded-cardinality path label: arbitrary 404 targets fold into
-/// "other".
-std::string PathLabel(const std::string& path) {
-  for (const char* known :
+/// "other". Every label is a static string, so request counters can key
+/// on the view.
+std::string_view PathLabel(const std::string& path) {
+  for (std::string_view known :
        {"/ingest", "/dtds", "/stats", "/metrics", "/healthz", "/tenants",
-        "/dtds/induce", "/dtds/candidates", "/replication/checkpoint",
-        "/replication/wal"}) {
+        "/events", "/dtds/induce", "/dtds/candidates",
+        "/replication/checkpoint", "/replication/wal"}) {
     if (path == known) return known;
   }
   if (path.rfind("/dtds/candidates/", 0) == 0) {
@@ -571,6 +572,9 @@ void IngestServer::HandleReadable(Connection* conn) {
       conn->in.append(buffer, static_cast<size_t>(n));
       conn->last_activity = std::chrono::steady_clock::now();
       if (conn->in.size() >= kMaxBufferedIn) break;
+      // A short read drained the socket; another recv would only return
+      // EAGAIN, and level-triggered epoll reports whatever arrives next.
+      if (static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n == 0) {
@@ -591,11 +595,14 @@ void IngestServer::HandleReadable(Connection* conn) {
 
 void IngestServer::ProcessInput(Connection* conn) {
   size_t served_this_pass = 0;
+  // Bytes of `in` consumed this pass; erased once at the end.
+  size_t offset = 0;
   while (!conn->close_after_flush && !conn->waiting_apply) {
-    if (conn->in.empty()) break;
+    if (offset == conn->in.size()) break;
     HttpRequest request;
     const HttpParse parsed =
-        ParseHttpRequest(conn->in, options_.max_body_bytes, &request);
+        ParseHttpRequest(std::string_view(conn->in).substr(offset),
+                         options_.max_body_bytes, &request);
     if (parsed.result == HttpParseResult::kNeedMore) break;
     if (parsed.result == HttpParseResult::kError) {
       // Malformed framing: answer, then close — the byte stream can no
@@ -610,7 +617,7 @@ void IngestServer::ProcessInput(Connection* conn) {
       conn->close_after_flush = true;
       break;
     }
-    conn->in.erase(0, parsed.consumed);
+    offset += parsed.consumed;
     const bool keep_alive = parsed.keep_alive && !draining_ && !conn->saw_eof;
 
     if (options_.max_pipeline_depth > 0 &&
@@ -647,6 +654,7 @@ void IngestServer::ProcessInput(Connection* conn) {
       break;
     }
   }
+  conn->in.erase(0, offset);
   if (draining_ && !conn->waiting_apply) conn->close_after_flush = true;
 }
 
@@ -719,6 +727,7 @@ void IngestServer::DrainCompletions() {
     ready.swap(completions_);
   }
   for (WaitCompletion& completion : ready) {
+    CountRequest(completion.path_label, completion.response.status);
     auto it = conns_.find(completion.fd);
     if (it == conns_.end() || it->second->id != completion.conn_id) {
       // The connection died while its document was applied (the apply
@@ -806,11 +815,14 @@ void IngestServer::CloseExpiredConns() {
   }
 }
 
-void IngestServer::CountRequest(const std::string& path, int status) {
-  registry_
-      .GetCounter("dtdevolve_http_requests_total", "HTTP requests served",
-                  {{"path", path}, {"code", std::to_string(status)}})
-      .Increment();
+void IngestServer::CountRequest(std::string_view path, int status) {
+  obs::Counter*& counter = request_counters_[{path, status}];
+  if (counter == nullptr) {
+    counter = &registry_.GetCounter(
+        "dtdevolve_http_requests_total", "HTTP requests served",
+        {{"path", std::string(path)}, {"code", std::to_string(status)}});
+  }
+  counter->Increment();
 }
 
 // --- Routing --------------------------------------------------------------
@@ -835,6 +847,7 @@ IngestServer::RouteResult IngestServer::Route(const HttpRequest& request,
   }
   if (request.path == "/metrics") {
     if (request.method != "GET") return {false, {405, "text/plain", {}, ""}};
+    manager_.RefreshStateGauges();
     return {false,
             {200, "text/plain; version=0.0.4; charset=utf-8", {},
              registry_.RenderPrometheus()}};
@@ -862,6 +875,10 @@ IngestServer::RouteResult IngestServer::Route(const HttpRequest& request,
   if (request.path == "/stats") {
     if (request.method != "GET") return {false, {405, "text/plain", {}, ""}};
     return {false, HandleStats(request)};
+  }
+  if (request.path == "/events") {
+    if (request.method != "GET") return {false, {405, "text/plain", {}, ""}};
+    return {false, HandleEvents(request)};
   }
   if (request.path == "/replication/checkpoint") {
     if (request.method != "GET") return {false, {405, "text/plain", {}, ""}};
@@ -966,20 +983,21 @@ IngestServer::RouteResult IngestServer::HandleIngest(
   // — by this thread, because its shard was idle, or by a worker that
   // outran us — answer synchronously instead.
   std::shared_ptr<SourceManager::IngestWaiter> waiter = enqueued.waiter;
-  const std::string path_label = PathLabel(request.path);
+  const std::string_view path_label = PathLabel(request.path);
   {
     std::lock_guard<std::mutex> lock(waiter->mutex);
     if (!waiter->done) {
+      // Runs on the applying thread; the request is counted when the
+      // event thread drains the completion.
       waiter->on_done = [this, fd, conn_id, keep_alive, waiter,
                          tenant_name = enqueued.tenant, path_label] {
-        HttpResponse response =
-            WaitOutcomeResponse(waiter->outcome, tenant_name);
-        CountRequest(path_label, response.status);
         WaitCompletion completion;
         completion.fd = fd;
         completion.conn_id = conn_id;
         completion.keep_alive = keep_alive;
-        completion.response = std::move(response);
+        completion.path_label = path_label;
+        completion.response =
+            WaitOutcomeResponse(waiter->outcome, tenant_name);
         PushCompletion(std::move(completion));
       };
       return {true, {}};
@@ -1120,6 +1138,39 @@ HttpResponse IngestServer::HandleCandidates(const HttpRequest& request) {
             "{\"rejected\":true,\"id\":" + std::to_string(id) + "}\n"};
   }
   return {404, "text/plain; charset=utf-8", {}, "not found\n"};
+}
+
+HttpResponse IngestServer::HandleEvents(const HttpRequest& request) {
+  const std::string since_text = request.QueryValue("since");
+  uint64_t since = 0;
+  if (!since_text.empty()) {
+    char* end = nullptr;
+    since = std::strtoull(since_text.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || since_text[0] == '-') {
+      return {400, "application/json", {},
+              "{\"error\":\"since must be a sequence number\"}\n"};
+    }
+  }
+  StatusOr<core::EventPage> page =
+      manager_.EventsFor(request.QueryValue("tenant"), since);
+  if (!page.ok()) return JsonError(page.status());
+  std::string body = "{\"oldest\":" + std::to_string(page->oldest);
+  body += ",\"next\":" + std::to_string(page->next);
+  body += ",\"missed\":" + std::to_string(page->missed);
+  body += ",\"events\":[";
+  bool first = true;
+  for (const core::SourceEvent& event : page->events) {
+    if (!first) body += ',';
+    first = false;
+    body += "{\"seq\":" + std::to_string(event.seq);
+    body += ",\"kind\":\"" + core::EventKindName(event.kind) + "\"";
+    body += ",\"dtd\":\"" + JsonEscape(event.dtd_name) + "\"";
+    body += ",\"similarity\":" + FormatDouble(event.similarity);
+    body += ",\"document_index\":" + std::to_string(event.document_index);
+    body += ",\"detail\":\"" + JsonEscape(event.detail) + "\"}";
+  }
+  body += "]}\n";
+  return {200, "application/json", {}, body};
 }
 
 HttpResponse IngestServer::HandleStats(const HttpRequest& request) {

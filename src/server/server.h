@@ -4,12 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/source.h"
@@ -337,6 +339,8 @@ class IngestServer {
     int fd = -1;
     uint64_t conn_id = 0;
     bool keep_alive = false;
+    /// Request-counter path label (a static string).
+    std::string_view path_label;
     HttpResponse response;
   };
 
@@ -358,11 +362,15 @@ class IngestServer {
   /// Re-registers the listener once the backoff elapsed.
   void RearmListenerIfDue();
   void StartDrain();
-  /// Read until EAGAIN, then parse/dispatch/flush. Every return path
-  /// except "connection closed" leaves the epoll mask in sync.
+  /// Reads until a short read (the socket is level-triggered, so epoll
+  /// reports any later data), then parses/dispatches/flushes. Every
+  /// return path except "connection closed" leaves the epoll mask in
+  /// sync.
   void HandleReadable(Connection* conn);
   /// Parses every complete request out of `in` (stopping at a parked
-  /// `?wait=1`), appends responses in order.
+  /// `?wait=1`), appends responses in order. Requests are consumed by
+  /// offset and `in` is compacted once per pass, so a pipelined backlog
+  /// is not shifted once per request.
   void ProcessInput(Connection* conn);
   /// Writes `out` until EAGAIN; returns false when the connection was
   /// closed (error, `close_after_flush` done, or half-closed and idle).
@@ -386,12 +394,16 @@ class IngestServer {
   HttpResponse HandleInduce(const HttpRequest& request);
   HttpResponse HandleCandidates(const HttpRequest& request);
   HttpResponse HandleStats(const HttpRequest& request);
+  HttpResponse HandleEvents(const HttpRequest& request);
   /// `/healthz?ready=1`: 200 only when every shard is `ok` and the event
   /// loop has connection headroom; otherwise 503 with a JSON breakdown.
   HttpResponse HandleReady();
   HttpResponse HandleReplicationCheckpoint(const HttpRequest& request);
   HttpResponse HandleReplicationWal(const HttpRequest& request);
-  void CountRequest(const std::string& path, int status);
+  /// One increment of `dtdevolve_http_requests_total{path,code}`.
+  /// Event thread only: the counter is resolved once per (path, code)
+  /// and kept in `request_counters_`.
+  void CountRequest(std::string_view path, int status);
 
   /// Closes the listener, epoll and wake-pipe fds (if open) — the
   /// error-path unwind of `Start` and the tail of `Wait`.
@@ -417,6 +429,21 @@ class IngestServer {
   /// deadline, then re-armed (folded into the epoll wait budget).
   bool listener_armed_ = true;
   std::chrono::steady_clock::time_point listener_rearm_at_;
+
+  struct RequestKey {
+    std::string_view path;  // a static path label
+    int status = 0;
+    friend bool operator==(const RequestKey&, const RequestKey&) = default;
+  };
+  struct RequestKeyHash {
+    size_t operator()(const RequestKey& key) const {
+      return std::hash<std::string_view>()(key.path) ^
+             (static_cast<size_t>(key.status) * 0x9E3779B97F4A7C15ull);
+    }
+  };
+  /// Resolved request counters (event-thread state, like `conns_`).
+  std::unordered_map<RequestKey, obs::Counter*, RequestKeyHash>
+      request_counters_;
 
   std::mutex completion_mutex_;
   std::vector<WaitCompletion> completions_;

@@ -352,6 +352,16 @@ void SourceManager::WireShardMetrics(Shard& shard, obs::Registry* registry) {
   shard.snapshots_quarantined = &registry->GetCounter(
       "dtdevolve_snapshots_quarantined_total",
       "Corrupt snapshots renamed aside at boot", labels);
+  shard.events_retained = &registry->GetGauge(
+      "dtdevolve_events_retained",
+      "Events held in the shard's bounded event log (at most " +
+          std::to_string(core::XmlSource::kEventCapacity) + ")",
+      labels);
+  shard.cluster_groups = &registry->GetGauge(
+      "dtdevolve_cluster_groups",
+      "Structure groups held by the repository clusterer, including "
+      "groups whose documents have all left the repository",
+      labels);
 }
 
 Status SourceManager::RestoreShardSnapshots(Shard& shard) {
@@ -483,6 +493,9 @@ Status SourceManager::Start(obs::Registry* registry) {
                               "Shared subtree score cache misses"),
         &registry->GetCounter("dtdevolve_score_cache_evictions_total",
                               "Shared subtree score cache LRU evictions"));
+    score_cache_entries_ = &registry->GetGauge(
+        "dtdevolve_score_cache_entries",
+        "Entries held by the shared subtree score cache");
   }
   if (shared_memo_ != nullptr) {
     shared_memo_->set_metrics(
@@ -492,6 +505,12 @@ Status SourceManager::Start(obs::Registry* registry) {
                               "Shared classification memo misses"),
         &registry->GetCounter("dtdevolve_classification_memo_evictions_total",
                               "Shared classification memo LRU evictions"));
+    memo_entries_ = &registry->GetGauge(
+        "dtdevolve_classification_memo_entries",
+        "Entries held by the shared classification memo");
+    memo_bytes_ = &registry->GetGauge(
+        "dtdevolve_classification_memo_bytes",
+        "Approximate bytes held by the shared classification memo");
   }
 
   for (const auto& shard : shards_) {
@@ -1275,6 +1294,34 @@ std::vector<SourceManager::TenantStats> SourceManager::AllStats() const {
     if (stats.ok()) all.push_back(std::move(*stats));
   }
   return all;
+}
+
+StatusOr<core::EventPage> SourceManager::EventsFor(const std::string& tenant,
+                                                   uint64_t since) const {
+  const Shard* shard = ResolveReadShard(tenant);
+  if (shard == nullptr) return UnresolvedTenantError(tenant);
+  std::lock_guard<std::mutex> lock(shard->state_mutex);
+  return shard->source->EventsSince(since);
+}
+
+void SourceManager::RefreshStateGauges() {
+  for (const auto& shard : shards_) {
+    if (shard->events_retained == nullptr) continue;  // not started
+    std::lock_guard<std::mutex> lock(shard->state_mutex);
+    shard->events_retained->Set(
+        static_cast<double>(shard->source->events_retained()));
+    shard->cluster_groups->Set(
+        static_cast<double>(shard->source->cluster_stats().groups));
+  }
+  if (memo_entries_ != nullptr) {
+    const classify::ClassificationMemo::Stats memo = shared_memo_->GetStats();
+    memo_entries_->Set(static_cast<double>(memo.entries));
+    memo_bytes_->Set(static_cast<double>(memo.bytes));
+  }
+  if (score_cache_entries_ != nullptr) {
+    score_cache_entries_->Set(
+        static_cast<double>(shared_cache_->GetStats().entries));
+  }
 }
 
 const store::RecoveryReport& SourceManager::recovery_report(

@@ -311,6 +311,17 @@ class SourceManager {
   /// Stats of every tenant, in tenant order.
   std::vector<TenantStats> AllStats() const;
 
+  /// One tenant's retained events from sequence number `since` on (same
+  /// resolution rules as `DtdNamesFor`); see `XmlSource::EventsSince`.
+  StatusOr<core::EventPage> EventsFor(const std::string& tenant,
+                                      uint64_t since) const;
+
+  /// Sets the gauges of the state that grows with traffic — retained
+  /// events and cluster groups per shard, memo entries and bytes, score
+  /// cache entries — from the live structures. Call before rendering
+  /// the registry; a no-op before `Start`.
+  void RefreshStateGauges();
+
   // --- Candidate-DTD induction (admin lifecycle) ---------------------------
 
   /// Runs `XmlSource::InduceCandidates` on one tenant (same resolution
@@ -513,6 +524,8 @@ class SourceManager {
     obs::Counter* checkpoint_errors = nullptr;
     obs::Gauge* checkpoint_lsn_gauge = nullptr;
     obs::Counter* snapshots_quarantined = nullptr;
+    obs::Gauge* events_retained = nullptr;
+    obs::Gauge* cluster_groups = nullptr;
   };
 
   Shard* FindShard(const std::string& tenant);
@@ -585,6 +598,11 @@ class SourceManager {
   /// set-epoch, and epochs are globally unique.
   std::unique_ptr<classify::ClassificationMemo> shared_memo_;
   std::optional<util::ThreadPool> pool_;
+  /// Process-wide state gauges (wired in `Start`; null without the
+  /// structure they measure).
+  obs::Gauge* memo_entries_ = nullptr;
+  obs::Gauge* memo_bytes_ = nullptr;
+  obs::Gauge* score_cache_entries_ = nullptr;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::map<std::string, Shard*> by_name_;

@@ -46,98 +46,40 @@ SubtreeStats SubtreeFingerprints::Compute(const xml::Element& element) {
   return stats;
 }
 
-size_t SubtreeScoreCache::KeyHash::operator()(const Key& key) const {
+size_t SubtreeScoreCache::KeyTraits::Hash(const Key& key) {
   uint64_t h = Mix64(key.fp_hi, key.fp_lo);
   h = Mix64(h, key.epoch);
   h = Mix64(h, static_cast<uint64_t>(static_cast<uint32_t>(key.label_id)));
   return static_cast<size_t>(h);
 }
 
+size_t SubtreeScoreCache::KeyTraits::Shard(const Key& key) {
+  const uint64_t label =
+      static_cast<uint64_t>(static_cast<uint32_t>(key.label_id));
+  return static_cast<size_t>((key.fp_lo ^ (label * 0xC2B2AE3D27D4EB4Full)) >>
+                             56);
+}
+
 SubtreeScoreCache::SubtreeScoreCache() : SubtreeScoreCache(Config()) {}
 
-SubtreeScoreCache::SubtreeScoreCache(Config config) : config_(config) {
-  max_entries_per_shard_ = std::max<size_t>(
-      1, config_.capacity_bytes / (kNumShards * kApproxEntryBytes));
-}
-
-SubtreeScoreCache::Shard& SubtreeScoreCache::ShardFor(const Key& key) {
-  // fp_lo is already well mixed; fold in the label so one hot structure
-  // scored against many DTDs spreads over shards.
-  uint64_t h = key.fp_lo ^ (static_cast<uint64_t>(
-                                static_cast<uint32_t>(key.label_id))
-                            * 0xC2B2AE3D27D4EB4Full);
-  return shards_[(h >> 56) % kNumShards];
-}
+SubtreeScoreCache::SubtreeScoreCache(Config config)
+    : config_(config),
+      lru_(std::max<size_t>(1, config.capacity_bytes /
+                                   (util::kEpochLruShards * kApproxEntryBytes)) *
+           kApproxEntryBytes) {}
 
 bool SubtreeScoreCache::Lookup(const Key& key, Triple* out) {
-  Shard& shard = ShardFor(key);
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      *out = it->second->second;
-      ++shard.hits;
-      hit = true;
-    } else {
-      ++shard.misses;
-    }
-  }
-  if (hit) {
-    if (hits_counter_ != nullptr) hits_counter_->Increment();
-  } else {
-    if (misses_counter_ != nullptr) misses_counter_->Increment();
-  }
+  const bool hit = lru_.Lookup(key, out);
+  obs::Counter* counter = hit ? hits_counter_ : misses_counter_;
+  if (counter != nullptr) counter->Increment();
   return hit;
 }
 
 void SubtreeScoreCache::Insert(const Key& key, const Triple& value) {
-  Shard& shard = ShardFor(key);
-  uint64_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = value;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return;
-    }
-    shard.lru.emplace_front(key, value);
-    shard.index.emplace(key, shard.lru.begin());
-    while (shard.index.size() > max_entries_per_shard_) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      ++shard.evictions;
-      ++evicted;
-    }
-  }
+  const uint64_t evicted = lru_.Insert(key, value, kApproxEntryBytes);
   if (evictions_counter_ != nullptr && evicted > 0) {
     evictions_counter_->Increment(evicted);
   }
-}
-
-void SubtreeScoreCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.hits = 0;
-    shard.misses = 0;
-    shard.evictions = 0;
-  }
-}
-
-SubtreeScoreCache::Stats SubtreeScoreCache::GetStats() const {
-  Stats stats;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.evictions += shard.evictions;
-    stats.entries += shard.index.size();
-  }
-  return stats;
 }
 
 }  // namespace dtdevolve::similarity

@@ -1,15 +1,13 @@
 #ifndef DTDEVOLVE_SIMILARITY_SCORE_CACHE_H_
 #define DTDEVOLVE_SIMILARITY_SCORE_CACHE_H_
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <unordered_map>
-#include <utility>
 
 #include "obs/metrics.h"
 #include "similarity/triple.h"
+#include "util/epoch_lru.h"
 #include "xml/document.h"
 
 namespace dtdevolve::similarity {
@@ -58,8 +56,10 @@ class SubtreeFingerprints {
 ///
 /// Epoch keying doubles as invalidation: every `SimilarityEvaluator`
 /// draws a fresh epoch id at construction, so rebuilding an evaluator
-/// (what `Classifier::Invalidate` does after evolution) orphans all its
-/// old entries — they age out of the LRU naturally, no purge needed.
+/// (what `Classifier::Invalidate` does after evolution) makes all its old
+/// entries unreachable, and the old evaluator releases them
+/// (`ReleaseEpoch`) when it is destroyed or detached — the cache holds
+/// only entries of live evaluators.
 ///
 /// Thread-safety: all entry points are safe for concurrent use; each of
 /// the 16 shards has its own mutex, so batch workers rarely contend.
@@ -82,18 +82,9 @@ class SubtreeScoreCache {
     friend bool operator==(const Key&, const Key&) = default;
   };
 
-  /// Monotonic totals since construction (or the last `Clear`).
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t entries = 0;
-
-    double HitRate() const {
-      uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
-  };
+  /// Monotonic totals since construction (or the last `Clear`), plus
+  /// the current entry count.
+  using Stats = util::EpochLruStats;
 
   SubtreeScoreCache();
   explicit SubtreeScoreCache(Config config);
@@ -105,10 +96,17 @@ class SubtreeScoreCache {
   bool Lookup(const Key& key, Triple* out);
   /// Inserts (or refreshes) `key`, evicting LRU entries beyond capacity.
   void Insert(const Key& key, const Triple& value);
+  /// Frees every entry of evaluator epoch `epoch`; work is proportional
+  /// to the entries freed.
+  void ReleaseEpoch(uint64_t epoch) { lru_.ReleaseEpoch(epoch); }
+  /// Entries currently held under `epoch`.
+  uint64_t EntriesOfEpoch(uint64_t epoch) const {
+    return lru_.EntriesOfEpoch(epoch);
+  }
   /// Drops every entry and resets the statistics.
-  void Clear();
+  void Clear() { lru_.Clear(); }
 
-  Stats GetStats() const;
+  Stats GetStats() const { return lru_.GetStats(); }
   const Config& config() const { return config_; }
 
   /// Optional `obs` counters bumped alongside the internal stats; any may
@@ -121,31 +119,20 @@ class SubtreeScoreCache {
   }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    /// Front = most recently used.
-    std::list<std::pair<Key, Triple>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, Triple>>::iterator,
-                       KeyHash>
-        index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+  struct KeyTraits {
+    static size_t Hash(const Key& key);
+    /// fp_lo is already well mixed; fold in the label so one hot
+    /// structure scored against many DTDs spreads over shards.
+    static size_t Shard(const Key& key);
   };
 
-  static constexpr size_t kNumShards = 16;
   /// Approximate footprint of one entry (key + triple + list node + hash
-  /// node), used to translate the byte capacity into an entry budget.
+  /// node + epoch links): the cost every entry is charged, so the byte
+  /// capacity is an entry budget.
   static constexpr size_t kApproxEntryBytes = 160;
 
-  Shard& ShardFor(const Key& key);
-
   Config config_;
-  size_t max_entries_per_shard_;
-  std::array<Shard, kNumShards> shards_;
+  util::EpochLru<Key, Triple, KeyTraits> lru_;
   obs::Counter* hits_counter_ = nullptr;
   obs::Counter* misses_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;

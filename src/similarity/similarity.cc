@@ -120,6 +120,13 @@ SimilarityEvaluator::SimilarityEvaluator(const dtd::Dtd& dtd,
   }
 }
 
+SimilarityEvaluator::~SimilarityEvaluator() { set_shared_cache(nullptr); }
+
+void SimilarityEvaluator::set_shared_cache(SubtreeScoreCache* cache) {
+  if (cache_ != nullptr && cache_ != cache) cache_->ReleaseEpoch(epoch_);
+  cache_ = cache;
+}
+
 double SimilarityEvaluator::TagScore(std::string_view a,
                                      std::string_view b) const {
   if (options_.thesaurus != nullptr) return options_.thesaurus->Score(a, b);

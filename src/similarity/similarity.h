@@ -156,7 +156,8 @@ std::vector<const ElementT*> AlignSymbolElements(
 /// `int32` ids; an optional shared `SubtreeScoreCache` carries triples
 /// across documents keyed by structural fingerprint and this evaluator's
 /// `epoch()` (drawn fresh at construction, which is what invalidates the
-/// cache when a DTD evolves and its evaluator is rebuilt).
+/// cache when a DTD evolves and its evaluator is rebuilt; the replaced
+/// evaluator frees its entries when it is destroyed).
 ///
 /// Two tree types, one recursion: the document-level entry points take a
 /// DOM `xml::Document` or a streaming-parsed `xml::ArenaDocument`, and
@@ -181,6 +182,8 @@ class SimilarityEvaluator {
  public:
   explicit SimilarityEvaluator(const dtd::Dtd& dtd,
                                SimilarityOptions options = {});
+  /// Releases this evaluator's epoch from the shared cache, if any.
+  ~SimilarityEvaluator();
 
   SimilarityEvaluator(const SimilarityEvaluator&) = delete;
   SimilarityEvaluator& operator=(const SimilarityEvaluator&) = delete;
@@ -257,8 +260,9 @@ class SimilarityEvaluator {
   /// Attaches (or detaches, with nullptr) a shared cross-document subtree
   /// score cache. Not owned; must outlive the evaluator. Entries are
   /// keyed by this evaluator's `epoch()`, so caches may be shared freely
-  /// across evaluators and DTD generations.
-  void set_shared_cache(SubtreeScoreCache* cache) { cache_ = cache; }
+  /// across evaluators and DTD generations. Detaching (or destroying the
+  /// evaluator) releases its epoch's entries from the cache.
+  void set_shared_cache(SubtreeScoreCache* cache);
   SubtreeScoreCache* shared_cache() const { return cache_; }
 
   /// Unique id of this evaluator instance (drawn from a process-global

@@ -261,10 +261,36 @@ TEST(HttpConformanceTest, PipelinedRequestsAreAnsweredInOrder) {
   EXPECT_EQ(ReadOne(fd, &buf).status, 200);
   EXPECT_EQ(ReadOne(fd, &buf).status, 404);
 
+  // A burst spanning several 16 KiB reads, ending in a request whose
+  // second half arrives in a later read: every response still comes
+  // back, in request order.
+  const std::string padded =
+      "<mail><envelope><from>a</from><to>b</to><subject>s</subject>"
+      "</envelope><body>" +
+      std::string(6000, 'x') + "</body></mail>";
+  std::string burst;
+  for (int i = 0; i < 10; ++i) {
+    burst += PostRequest("/ingest", padded);
+    burst += GetRequest(i % 2 == 0 ? "/healthz" : "/no-such-route");
+  }
+  ASSERT_GT(burst.size(), 3u * 16384u);
+  const std::string split = PostRequest("/ingest?wait=1", kConformingDoc);
+  SendAll(fd, burst + split.substr(0, split.size() / 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  SendAll(fd, split.substr(split.size() / 2));
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(ReadOne(fd, &buf).status, 202) << i;
+    EXPECT_EQ(ReadOne(fd, &buf).status, i % 2 == 0 ? 200 : 404) << i;
+  }
+  HttpClientResponse last = ReadOne(fd, &buf);
+  EXPECT_EQ(last.status, 200);
+  EXPECT_NE(last.body.find("\"classified\":true"), std::string::npos)
+      << last.body;
+
   ::close(fd);
   server.Shutdown();
   server.Wait();
-  EXPECT_EQ(server.source().documents_processed(), 2u);
+  EXPECT_EQ(server.source().documents_processed(), 13u);
 }
 
 TEST(HttpConformanceTest, SlowLorisIsReapedByTheReadDeadline) {

@@ -137,7 +137,7 @@ TEST(InduceTest, AcceptPromotesDrainsAndRetiresCandidates) {
   EXPECT_TRUE(source.candidates().empty());
   // The promotion shows in the event log.
   bool induced_event = false;
-  for (const core::SourceEvent& event : source.events()) {
+  for (const core::SourceEvent& event : source.EventsSince(0).events) {
     if (event.kind == core::SourceEvent::Kind::kDtdInduced) {
       EXPECT_EQ(event.dtd_name, outcome->dtd_name);
       induced_event = true;

@@ -145,7 +145,7 @@ TEST(InductionRecoveryTest, ReplayReproducesALiveAccept) {
   EXPECT_EQ(recovered->repository().size(), live_repository);
   EXPECT_EQ(recovered->candidates_accepted(), 1u);
   bool induced_event = false;
-  for (const core::SourceEvent& event : recovered->events()) {
+  for (const core::SourceEvent& event : recovered->EventsSince(0).events) {
     if (event.kind == core::SourceEvent::Kind::kDtdInduced) {
       induced_event = true;
       EXPECT_EQ(event.dtd_name, induced_name);

@@ -123,10 +123,14 @@ void ExpectSameState(const core::XmlSource& a, const core::XmlSource& b) {
     EXPECT_EQ(dtd::WriteDtd(*a.FindDtd(name)), dtd::WriteDtd(*b.FindDtd(name)))
         << "DTD " << name;
   }
-  ASSERT_EQ(a.events().size(), b.events().size());
-  for (size_t i = 0; i < a.events().size(); ++i) {
-    const core::SourceEvent& ea = a.events()[i];
-    const core::SourceEvent& eb = b.events()[i];
+  const core::EventPage log_a = a.EventsSince(0);
+  const core::EventPage log_b = b.EventsSince(0);
+  EXPECT_EQ(log_a.missed, 0u);
+  EXPECT_EQ(log_a.next, log_b.next);
+  ASSERT_EQ(log_a.events.size(), log_b.events.size());
+  for (size_t i = 0; i < log_a.events.size(); ++i) {
+    const core::SourceEvent& ea = log_a.events[i];
+    const core::SourceEvent& eb = log_b.events[i];
     EXPECT_EQ(ea.kind, eb.kind) << "event " << i;
     EXPECT_EQ(ea.dtd_name, eb.dtd_name) << "event " << i;
     EXPECT_EQ(ea.similarity, eb.similarity) << "event " << i;

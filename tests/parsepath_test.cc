@@ -357,27 +357,40 @@ TEST(ParsePathTest, MemoProbeReplaysOnlyAfterClassification) {
 TEST(ParsePathTest, EveryOutcomeRelevantMutationBumpsSetEpoch) {
   ClassifierFixture fixture(classify::ClassifierOptions{});
   classify::Classifier& classifier = *fixture.classifier;
+  const classify::ClassificationMemo* memo = classifier.classification_memo();
+  ASSERT_NE(memo, nullptr);
+  StatusOr<xml::ArenaDocument> warm =
+      xml::ParseArenaDocument("<bibliography><x/></bibliography>");
+  ASSERT_TRUE(warm.ok());
   uint64_t epoch = classifier.set_epoch();
+  // Each mutation draws a fresh epoch and frees the memo entries of the
+  // one it supersedes.
+  auto expect_superseded = [&](const char* mutation) {
+    EXPECT_NE(classifier.set_epoch(), epoch) << mutation;
+    EXPECT_EQ(memo->EntriesOfEpoch(epoch), 0u) << mutation;
+    EXPECT_EQ(memo->GetStats().entries, 0u) << mutation;
+    epoch = classifier.set_epoch();
+    (void)classifier.Classify(*warm);
+    EXPECT_EQ(memo->EntriesOfEpoch(epoch), 1u) << mutation;
+  };
+  (void)classifier.Classify(*warm);
+  ASSERT_EQ(memo->EntriesOfEpoch(epoch), 1u);
 
   classifier.set_sigma(0.6);
-  EXPECT_NE(classifier.set_epoch(), epoch);
-  epoch = classifier.set_epoch();
+  expect_superseded("set_sigma");
 
   dtd::Dtd extra = fixture.dtds.front().Clone();
   classifier.AddDtd("extra", &extra);
-  EXPECT_NE(classifier.set_epoch(), epoch);
-  epoch = classifier.set_epoch();
+  expect_superseded("AddDtd");
 
   classifier.Invalidate("extra");
-  EXPECT_NE(classifier.set_epoch(), epoch);
-  epoch = classifier.set_epoch();
+  expect_superseded("Invalidate");
 
   EXPECT_TRUE(classifier.RemoveDtd("extra"));
-  EXPECT_NE(classifier.set_epoch(), epoch);
-  epoch = classifier.set_epoch();
+  expect_superseded("RemoveDtd");
 
   classifier.InvalidateAll();
-  EXPECT_NE(classifier.set_epoch(), epoch);
+  expect_superseded("InvalidateAll");
 
   // A memoized outcome from before a mutation must be unreachable after.
   StatusOr<xml::ArenaDocument> arena =

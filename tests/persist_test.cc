@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -225,6 +228,153 @@ TEST(PersistTest, PreservesAttlists) {
   StatusOr<ExtendedDtd> restored = DeserializeExtendedDtd(data);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->dtd().FindElement("a")->attributes.size(), 1u);
+}
+
+// --- Frozen printf reference ---------------------------------------------
+
+/// The `snprintf` serializer the production `std::to_chars` one replaced,
+/// kept test-only so the two can be compared byte for byte.
+void ReferenceOccurrence(const OccurrenceStats& occ, std::string& out) {
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer),
+                "occ %" PRIu64 " %" PRIu64 " %" PRIu64 " %.17g %zu",
+                occ.instances, occ.repeated, occ.occurrences,
+                occ.position_sum, occ.count_histogram.size());
+  out += buffer;
+  for (const auto& [count, n] : occ.count_histogram) {
+    std::snprintf(buffer, sizeof(buffer), " %u %" PRIu64, count, n);
+    out += buffer;
+  }
+  out += '\n';
+}
+
+void ReferenceElementStats(const ElementStats& stats, std::string& out) {
+  char buffer[192];
+  std::snprintf(buffer, sizeof(buffer),
+                "counters %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
+                " %" PRIu64 " %" PRIu64 "\n",
+                stats.valid_instances(), stats.invalid_instances(),
+                stats.docs_with_valid(), stats.docs_with_invalid(),
+                stats.text_instances(), stats.empty_instances());
+  out += buffer;
+  std::snprintf(buffer, sizeof(buffer), "labels %zu\n",
+                stats.labels().size());
+  out += buffer;
+  for (const auto& [label, label_stats] : stats.labels()) {
+    out += "label " + label + "\n";
+    ReferenceOccurrence(label_stats.valid, out);
+    ReferenceOccurrence(label_stats.invalid, out);
+    if (label_stats.plus_structure != nullptr) {
+      out += "plus 1\n";
+      ReferenceElementStats(*label_stats.plus_structure, out);
+    } else {
+      out += "plus 0\n";
+    }
+  }
+  std::snprintf(buffer, sizeof(buffer), "sequences %zu\n",
+                stats.sequences().size());
+  out += buffer;
+  for (const auto& [labels, count] : stats.sequences()) {
+    std::snprintf(buffer, sizeof(buffer), "seq %" PRIu64 " %zu", count,
+                  labels.size());
+    out += buffer;
+    for (const std::string& label : labels) out += ' ' + label;
+    out += '\n';
+  }
+  std::snprintf(buffer, sizeof(buffer), "groups %zu\n",
+                stats.groups().size());
+  out += buffer;
+  for (const auto& [key, count] : stats.groups()) {
+    std::snprintf(buffer, sizeof(buffer), "group %" PRIu64 " %u %zu", count,
+                  key.repeat_count, key.labels.size());
+    out += buffer;
+    for (const std::string& label : key.labels) out += ' ' + label;
+    out += '\n';
+  }
+  std::snprintf(buffer, sizeof(buffer), "attrs %zu\n",
+                stats.attribute_counts().size());
+  out += buffer;
+  for (const auto& [name, count] : stats.attribute_counts()) {
+    out += "attr " + name + " " + std::to_string(count) + "\n";
+  }
+}
+
+/// Everything from the `aggregates` line on (the DTD header is plain
+/// string concatenation in both versions).
+std::string ReferenceStateTail(const ExtendedDtd& ext) {
+  char buffer[160];
+  std::snprintf(buffer, sizeof(buffer),
+                "aggregates %" PRIu64 " %" PRIu64 " %" PRIu64 " %.17g\n",
+                ext.documents_recorded(), ext.total_elements_recorded(),
+                ext.invalid_elements_recorded(), ext.divergence_sum());
+  std::string out = buffer;
+  std::snprintf(buffer, sizeof(buffer), "stats %zu\n",
+                ext.all_stats().size());
+  out += buffer;
+  for (const auto& [name, stats] : ext.all_stats()) {
+    out += "element " + name + "\n";
+    ReferenceElementStats(stats, out);
+  }
+  return out;
+}
+
+TEST(PersistTest, ToCharsSerializationMatchesPrintfReference) {
+  const double awkward[] = {
+      0.0,
+      -0.0,
+      0.1,
+      1.0 / 3.0,
+      2.0 / 3.0,
+      1e-5,
+      123456789.125,
+      1e16,
+      1e17,
+      9007199254740993.0,
+      5e-324,
+      2.2250738585072014e-308,
+      1.7976931348623157e308,
+      -4.35e-7,
+      0.30000000000000004,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  const uint64_t counters[] = {0, 1, 9, 10, 4294967295ull, 4294967296ull,
+                               18446744073709551615ull};
+  constexpr size_t kNumCounters = sizeof(counters) / sizeof(counters[0]);
+  size_t compared = 0;
+  for (size_t i = 0; i < sizeof(awkward) / sizeof(awkward[0]); ++i) {
+    ExtendedDtd ext = MakeExtended(kDtd);
+    const uint64_t big = counters[i % kNumCounters];
+    ext.RestoreAggregates(big, counters[(i + 1) % kNumCounters],
+                          counters[(i + 2) % kNumCounters], awkward[i]);
+    for (const char* element : {"a", "b"}) {
+      ElementStats& stats = ext.StatsFor(element);
+      stats.RestoreCounters(big, big / 3, counters[(i + 3) % kNumCounters],
+                            7, 0, counters[(i + 4) % kNumCounters]);
+      LabelStats& label = stats.labels()["d"];
+      label.valid.instances = big;
+      label.valid.position_sum = awkward[(i + 1) % 18];
+      label.valid.count_histogram[4294967295u] = big;
+      label.valid.count_histogram[1] = 2;
+      label.invalid.occurrences = counters[(i + 5) % kNumCounters];
+      label.invalid.position_sum = -awkward[i];
+      label.plus_structure = std::make_unique<ElementStats>();
+      label.plus_structure->RestoreCounters(1, 2, 3, big, 5, 6);
+      label.plus_structure->labels()["e"].invalid.position_sum =
+          awkward[(i + 7) % 18];
+      stats.RestoreSequence({"b", "c", "d"}, big);
+      stats.RestoreGroup(GroupKey{{"b", "c"}, 4294967295u}, big);
+      stats.RestoreAttributeCount("id", big);
+    }
+    const std::string serialized = SerializeExtendedDtd(ext);
+    const size_t head = serialized.find("\naggregates ");
+    ASSERT_NE(head, std::string::npos);
+    EXPECT_EQ(serialized.substr(head + 1), ReferenceStateTail(ext))
+        << "case " << i;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 18u);
 }
 
 }  // namespace

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "classify/classifier.h"
+#include "core/source.h"
 #include "dtd/dtd_parser.h"
 #include "similarity/score_cache.h"
 #include "similarity/similarity.h"
@@ -19,6 +24,7 @@
 #include "workload/mutator.h"
 #include "workload/scenarios.h"
 #include "xml/parser.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -290,10 +296,167 @@ TEST(FastPathTest, InvalidateOrphansStaleCacheEntries) {
   ASSERT_TRUE(model.ok());
   dtd.SetContent("mail", std::move(model).value());
   dtd.DeclareElement("cc", dtd::ContentModel::Pcdata());
+  const uint64_t old_evaluator = classifier.evaluator_epoch("mail");
+  const uint64_t old_set = classifier.set_epoch();
+  ASSERT_NE(classifier.score_cache(), nullptr);
+  ASSERT_NE(classifier.classification_memo(), nullptr);
+  EXPECT_GT(classifier.score_cache()->EntriesOfEpoch(old_evaluator), 0u);
+  EXPECT_GT(classifier.classification_memo()->EntriesOfEpoch(old_set), 0u);
   classifier.Invalidate("mail");
+  // The superseded epochs are freed at once, not left to age out.
+  EXPECT_EQ(classifier.score_cache()->EntriesOfEpoch(old_evaluator), 0u);
+  EXPECT_EQ(classifier.classification_memo()->EntriesOfEpoch(old_set), 0u);
+  EXPECT_EQ(classifier.score_cache()->GetStats().entries, 0u);
   EXPECT_DOUBLE_EQ(classifier.Classify(extended).similarity, 1.0);
   // And repeatedly, now against the new evaluator's warm entries.
   EXPECT_DOUBLE_EQ(classifier.Classify(extended).similarity, 1.0);
+
+  // Every epoch-superseding call frees exactly what it supersedes — the
+  // memo entries of the old set-epoch and the cache entries of each
+  // replaced evaluator — and nothing else, on a shared memo and cache;
+  // outcomes stay those of a classifier without either.
+  Corpus corpus = MakeCorpus(29, 15);
+  similarity::SubtreeScoreCache cache;
+  classify::ClassificationMemo memo;
+  classify::ClassifierOptions shared;
+  shared.shared_cache = &cache;
+  shared.shared_memo = &memo;
+  classify::ClassifierOptions bare = PlainOptions();
+  bare.enable_classification_memo = false;
+  auto fast = std::make_unique<classify::Classifier>(
+      0.5, similarity::SimilarityOptions{}, shared);
+  classify::Classifier plain(0.5, {}, bare);
+  for (size_t i = 0; i + 1 < corpus.dtds.size(); ++i) {
+    fast->AddDtd(corpus.names[i], &corpus.dtds[i]);
+    plain.AddDtd(corpus.names[i], &corpus.dtds[i]);
+  }
+  const std::string& last = corpus.names.back();
+  dtd::Dtd* last_dtd = &corpus.dtds.back();
+  struct Step {
+    const char* name;
+    std::function<void(classify::Classifier&)> apply;
+    std::vector<std::string> replaced;
+  };
+  const std::vector<Step> steps = {
+      {"AddDtd",
+       [&](classify::Classifier& c) { c.AddDtd(last, last_dtd); },
+       {}},
+      {"Invalidate",
+       [&](classify::Classifier& c) { c.Invalidate(corpus.names[0]); },
+       {corpus.names[0]}},
+      {"set_sigma", [](classify::Classifier& c) { c.set_sigma(0.55); }, {}},
+      {"AddDtd (re-register)",
+       [&](classify::Classifier& c) {
+         c.AddDtd(corpus.names[1], &corpus.dtds[1]);
+       },
+       {corpus.names[1]}},
+      {"InvalidateAll", [](classify::Classifier& c) { c.InvalidateAll(); },
+       corpus.names},
+      {"RemoveDtd", [&](classify::Classifier& c) { c.RemoveDtd(last); },
+       {last}},
+  };
+  uint64_t replaced_entries = 0;
+  for (const Step& step : steps) {
+    for (const xml::Document& doc : corpus.docs) {
+      ExpectSameOutcome(fast->Classify(doc), plain.Classify(doc), step.name);
+    }
+    const uint64_t set_before = fast->set_epoch();
+    EXPECT_GT(memo.EntriesOfEpoch(set_before), 0u) << step.name;
+    std::map<std::string, std::pair<uint64_t, uint64_t>> before;
+    for (const std::string& name : fast->DtdNames()) {
+      const uint64_t epoch = fast->evaluator_epoch(name);
+      before[name] = {epoch, cache.EntriesOfEpoch(epoch)};
+    }
+    step.apply(*fast);
+    step.apply(plain);
+    EXPECT_NE(fast->set_epoch(), set_before) << step.name;
+    EXPECT_EQ(memo.EntriesOfEpoch(set_before), 0u) << step.name;
+    EXPECT_EQ(memo.GetStats().entries, 0u) << step.name;
+    for (const auto& [name, epoch_entries] : before) {
+      const auto [epoch, entries] = epoch_entries;
+      const bool replaced =
+          std::find(step.replaced.begin(), step.replaced.end(), name) !=
+          step.replaced.end();
+      if (replaced) {
+        EXPECT_NE(fast->evaluator_epoch(name), epoch) << step.name;
+        EXPECT_EQ(cache.EntriesOfEpoch(epoch), 0u)
+            << step.name << " " << name;
+        replaced_entries += entries;
+      } else {
+        EXPECT_EQ(fast->evaluator_epoch(name), epoch) << step.name;
+        EXPECT_EQ(cache.EntriesOfEpoch(epoch), entries)
+            << step.name << " " << name;
+      }
+    }
+  }
+  EXPECT_GT(replaced_entries, 0u);
+  for (const xml::Document& doc : corpus.docs) {
+    ExpectSameOutcome(fast->Classify(doc), plain.Classify(doc), "final");
+  }
+  EXPECT_GT(cache.GetStats().entries, 0u);
+  fast.reset();
+  EXPECT_EQ(memo.GetStats().entries, 0u);
+  EXPECT_EQ(cache.GetStats().entries, 0u);
+}
+
+TEST(FastPathTest, SourceHoldsOnlyLiveEpochsAcrossEvolutions) {
+  // A drifting stream evolves its DTDs many times. Each evolution frees
+  // the superseded memo epoch at once, so the shared memo never holds
+  // more than the documents classified since the last epoch change, and
+  // the outcomes equal a source with no memo and no cache.
+  similarity::SubtreeScoreCache cache;
+  classify::ClassificationMemo memo;
+  core::SourceOptions fast_options;
+  fast_options.tau = 0.1;
+  fast_options.classifier.shared_cache = &cache;
+  fast_options.classifier.shared_memo = &memo;
+  core::SourceOptions plain_options;
+  plain_options.tau = 0.1;
+  plain_options.classifier = PlainOptions();
+  plain_options.classifier.enable_classification_memo = false;
+  auto fast = std::make_unique<core::XmlSource>(fast_options);
+  core::XmlSource plain(plain_options);
+  std::vector<workload::ScenarioStream> scenarios =
+      workload::MakeAllScenarios(31, 25);
+  for (workload::ScenarioStream& scenario : scenarios) {
+    ASSERT_TRUE(fast->AddDtd(scenario.name(), scenario.InitialDtd()).ok());
+    ASSERT_TRUE(plain.AddDtd(scenario.name(), scenario.InitialDtd()).ok());
+  }
+  xml::WriteOptions compact;
+  compact.indent = false;
+  size_t since_change = 0;
+  size_t evolutions = 0;
+  bool more = true;
+  while (more) {
+    more = false;
+    for (workload::ScenarioStream& scenario : scenarios) {
+      if (scenario.Done()) continue;
+      more = true;
+      const std::string text = xml::WriteDocument(scenario.Next(), compact);
+      StatusOr<core::XmlSource::ProcessOutcome> a = fast->ProcessText(text);
+      StatusOr<core::XmlSource::ProcessOutcome> b = plain.ProcessText(text);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->classified, b->classified);
+      EXPECT_EQ(a->dtd_name, b->dtd_name);
+      EXPECT_EQ(a->similarity, b->similarity);
+      EXPECT_EQ(a->evolved, b->evolved);
+      EXPECT_EQ(a->reclassified, b->reclassified);
+      if (a->evolved) {
+        ++evolutions;
+        since_change = 0;
+        EXPECT_EQ(memo.GetStats().entries, 0u);
+      } else {
+        ++since_change;
+        EXPECT_LE(memo.GetStats().entries, since_change);
+      }
+    }
+  }
+  EXPECT_GT(evolutions, 3u);
+  EXPECT_GT(memo.GetStats().released, 0u);
+  EXPECT_GT(cache.GetStats().released, 0u);
+  fast.reset();
+  EXPECT_EQ(memo.GetStats().entries, 0u);
+  EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 TEST(FastPathTest, TinyCapacityEvictsButStaysCorrect) {
@@ -493,6 +656,58 @@ TEST(FastPathTest, ConcurrentBatchesShareTheCacheSafely) {
   }
   ASSERT_NE(fast.score_cache(), nullptr);
   EXPECT_GT(fast.score_cache()->GetStats().hits, 0u);
+}
+
+TEST(FastPathTest, ReleasingOneClassifierSparesASharedNeighbour) {
+  // One classifier supersedes its epochs over and over while another,
+  // sharing the memo and the cache, scores batches on other threads:
+  // the releases free only the churning classifier's entries, and the
+  // neighbour's outcomes stay exact.
+  Corpus corpus = MakeCorpus(37, 15);
+  similarity::SubtreeScoreCache cache;
+  classify::ClassificationMemo memo;
+  classify::ClassifierOptions shared;
+  shared.shared_cache = &cache;
+  shared.shared_memo = &memo;
+  classify::ClassifierOptions bare = PlainOptions();
+  bare.enable_classification_memo = false;
+  classify::Classifier churn(0.5, {}, shared);
+  classify::Classifier steady(0.5, {}, shared);
+  classify::Classifier plain(0.5, {}, bare);
+  for (size_t i = 0; i < corpus.dtds.size(); ++i) {
+    churn.AddDtd(corpus.names[i], &corpus.dtds[i]);
+    steady.AddDtd(corpus.names[i], &corpus.dtds[i]);
+    plain.AddDtd(corpus.names[i], &corpus.dtds[i]);
+  }
+  std::vector<classify::ClassificationOutcome> reference;
+  for (const xml::Document& doc : corpus.docs) {
+    reference.push_back(plain.Classify(doc));
+  }
+  std::thread churner([&] {
+    for (int round = 0; round < 8; ++round) {
+      for (const xml::Document& doc : corpus.docs) (void)churn.Classify(doc);
+      if (round % 2 == 0) {
+        churn.InvalidateAll();
+      } else {
+        churn.Invalidate(corpus.names[round % corpus.names.size()]);
+      }
+    }
+  });
+  for (int round = 0; round < 3; ++round) {
+    std::vector<classify::ClassificationOutcome> batch =
+        steady.ClassifyBatch(corpus.docs, 4);
+    ASSERT_EQ(batch.size(), reference.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ExpectSameOutcome(batch[i], reference[i], "steady batch");
+    }
+  }
+  churner.join();
+  // The churning classifier's last epoch change came after its last
+  // classification, so everything left belongs to the neighbour.
+  EXPECT_EQ(memo.EntriesOfEpoch(churn.set_epoch()), 0u);
+  EXPECT_GT(memo.EntriesOfEpoch(steady.set_epoch()), 0u);
+  EXPECT_EQ(memo.GetStats().entries, memo.EntriesOfEpoch(steady.set_epoch()));
+  EXPECT_GT(memo.GetStats().released, 0u);
 }
 
 // --- Hardened alignment ------------------------------------------------------

@@ -230,6 +230,101 @@ TEST(ServerTest, MetricsScrapeExposesPipelineCounters) {
   server.Wait();
 }
 
+TEST(ServerTest, EventsEndpointServesTheBoundedLog) {
+  core::SourceOptions source_options;
+  source_options.auto_evolve = false;
+  IngestServer server(source_options, EphemeralOptions());
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(Post(server.port(), "/ingest?wait=1", kConformingDoc).status,
+              200);
+  }
+  ASSERT_EQ(Post(server.port(), "/ingest?wait=1", "<unrelated/>").status,
+            200);
+
+  ClientResponse all = Get(server.port(), "/events");
+  EXPECT_EQ(all.status, 200);
+  EXPECT_EQ(all.body.rfind(
+                "{\"oldest\":0,\"next\":4,\"missed\":0,\"events\":[", 0),
+            0u)
+      << all.body;
+  EXPECT_NE(all.body.find("{\"seq\":0,\"kind\":\"classified\","
+                          "\"dtd\":\"mail\",\"similarity\":1,"
+                          "\"document_index\":0,\"detail\":\"\"}"),
+            std::string::npos)
+      << all.body;
+  EXPECT_NE(all.body.find("{\"seq\":3,\"kind\":\"unclassified\""),
+            std::string::npos)
+      << all.body;
+
+  ClientResponse since = Get(server.port(), "/events?since=3");
+  EXPECT_EQ(since.status, 200);
+  EXPECT_NE(since.body.find("\"seq\":3"), std::string::npos);
+  EXPECT_EQ(since.body.find("\"seq\":2"), std::string::npos);
+  EXPECT_NE(since.body.find("\"next\":4"), std::string::npos);
+  ClientResponse caught_up = Get(server.port(), "/events?since=4");
+  EXPECT_NE(caught_up.body.find("\"events\":[]"), std::string::npos);
+
+  EXPECT_EQ(Get(server.port(), "/events?since=x").status, 400);
+  EXPECT_EQ(Get(server.port(), "/events?since=-1").status, 400);
+  EXPECT_EQ(Post(server.port(), "/events", "").status, 405);
+
+  // The state gauges are refreshed on every scrape.
+  ClientResponse metrics = Get(server.port(), "/metrics");
+  EXPECT_NE(metrics.body.find("\ndtdevolve_events_retained 4\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("\ndtdevolve_classification_memo_entries 2\n"),
+            std::string::npos)
+      << metrics.body;
+  EXPECT_NE(metrics.body.find("\ndtdevolve_classification_memo_bytes "),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("\ndtdevolve_score_cache_entries "),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("\ndtdevolve_cluster_groups 1\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("dtdevolve_http_requests_total{code=\"200\","
+                              "path=\"/events\"} 3"),
+            std::string::npos);
+
+  server.Shutdown();
+  server.Wait();
+}
+
+TEST(ServerTest, EventsEndpointResolvesTenants) {
+  ServerOptions options = EphemeralOptions();
+  options.tenants = {"a", "b"};
+  IngestServer server(EvolvingOptions(), options);
+  ASSERT_TRUE(server.AddDtdText("mail", kMailDtd).ok());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(Post(server.port(), "/ingest/a?wait=1", kConformingDoc).status,
+            200);
+
+  ClientResponse a = Get(server.port(), "/events?tenant=a");
+  EXPECT_EQ(a.status, 200);
+  EXPECT_NE(a.body.find("\"next\":1"), std::string::npos) << a.body;
+  EXPECT_NE(a.body.find("\"kind\":\"classified\""), std::string::npos);
+  ClientResponse b = Get(server.port(), "/events?tenant=b");
+  EXPECT_EQ(b.status, 200);
+  EXPECT_NE(b.body.find("\"next\":0"), std::string::npos) << b.body;
+  EXPECT_NE(b.body.find("\"events\":[]"), std::string::npos);
+  // No default shard: an anonymous read is ambiguous.
+  EXPECT_EQ(Get(server.port(), "/events").status, 400);
+  EXPECT_EQ(Get(server.port(), "/events?tenant=zzz").status, 404);
+
+  ClientResponse metrics = Get(server.port(), "/metrics");
+  EXPECT_NE(metrics.body.find("dtdevolve_events_retained{tenant=\"a\"} 1\n"),
+            std::string::npos)
+      << metrics.body;
+  EXPECT_NE(metrics.body.find("dtdevolve_events_retained{tenant=\"b\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("dtdevolve_cluster_groups{tenant=\"b\"} 0\n"),
+            std::string::npos);
+
+  server.Shutdown();
+  server.Wait();
+}
+
 TEST(ServerTest, FullQueueAnswers503WithRetryAfter) {
   ServerOptions options = EphemeralOptions();
   options.queue_capacity = 2;

@@ -75,8 +75,9 @@ TEST(XmlSourceTest, UnclassifiedGoesToRepository) {
   EXPECT_FALSE(outcome->classified);
   EXPECT_EQ(source.repository().size(), 1u);
   EXPECT_EQ(source.documents_classified(), 0u);
-  ASSERT_FALSE(source.events().empty());
-  EXPECT_EQ(source.events().back().kind, SourceEvent::Kind::kUnclassified);
+  const EventPage log = source.EventsSince(0);
+  ASSERT_FALSE(log.events.empty());
+  EXPECT_EQ(log.events.back().kind, SourceEvent::Kind::kUnclassified);
 }
 
 TEST(XmlSourceTest, ParseErrorsPropagate) {
@@ -115,7 +116,7 @@ TEST(XmlSourceTest, AutoEvolutionTriggersOnDivergence) {
   EXPECT_TRUE(validator.Validate(*doc).valid);
   // An evolution event with a report was logged.
   bool saw_evolution_event = false;
-  for (const SourceEvent& event : source.events()) {
+  for (const SourceEvent& event : source.EventsSince(0).events) {
     if (event.kind == SourceEvent::Kind::kEvolved) {
       saw_evolution_event = true;
       EXPECT_NE(event.detail.find("mail"), std::string::npos);
@@ -173,7 +174,7 @@ TEST(XmlSourceTest, RepositoryReclassifiedAfterEvolution) {
   // recovered.
   EXPECT_EQ(source.repository().size(), 0u);
   bool saw_reclassified = false;
-  for (const SourceEvent& event : source.events()) {
+  for (const SourceEvent& event : source.EventsSince(0).events) {
     if (event.kind == SourceEvent::Kind::kReclassified) {
       saw_reclassified = true;
     }
@@ -214,6 +215,57 @@ TEST(XmlSourceTest, KeepDocumentsFlag) {
                   .ok());
   EXPECT_TRUE(source.InstancesOf("mail").empty());
   EXPECT_EQ(source.FindExtended("mail")->documents_recorded(), 1u);
+}
+
+TEST(XmlSourceTest, EventLogIsABoundedRing) {
+  // One event per classified document; past the capacity the oldest are
+  // overwritten, sequence numbers stay contiguous, and a reader that
+  // asks for an overwritten sequence learns how many it missed.
+  constexpr size_t kCapacity = XmlSource::kEventCapacity;
+  constexpr size_t kExtra = 37;
+  XmlSource source;
+  ASSERT_TRUE(source.AddDtdText("mail", kMailDtd).ok());
+  const std::string doc =
+      "<mail><from>a</from><to>b</to><body>x</body></mail>";
+  for (size_t i = 0; i < kCapacity + kExtra; ++i) {
+    ASSERT_TRUE(source.ProcessText(doc).ok());
+  }
+  EXPECT_EQ(source.events_total(), kCapacity + kExtra);
+  EXPECT_EQ(source.events_retained(), kCapacity);
+
+  const EventPage all = source.EventsSince(0);
+  EXPECT_EQ(all.oldest, kExtra);
+  EXPECT_EQ(all.next, kCapacity + kExtra);
+  EXPECT_EQ(all.missed, kExtra);
+  ASSERT_EQ(all.events.size(), kCapacity);
+  for (size_t i = 0; i < all.events.size(); ++i) {
+    EXPECT_EQ(all.events[i].seq, kExtra + i);
+    EXPECT_EQ(all.events[i].document_index, kExtra + i);
+    EXPECT_EQ(all.events[i].kind, SourceEvent::Kind::kClassified);
+  }
+
+  const EventPage evicted = source.EventsSince(kExtra - 5);
+  EXPECT_EQ(evicted.missed, 5u);
+  EXPECT_EQ(evicted.events.size(), kCapacity);
+
+  const EventPage tail = source.EventsSince(kCapacity + kExtra - 3);
+  EXPECT_EQ(tail.missed, 0u);
+  ASSERT_EQ(tail.events.size(), 3u);
+  EXPECT_EQ(tail.events.front().seq, kCapacity + kExtra - 3);
+
+  const EventPage caught_up = source.EventsSince(all.next);
+  EXPECT_TRUE(caught_up.events.empty());
+  EXPECT_EQ(caught_up.missed, 0u);
+  EXPECT_EQ(caught_up.next, all.next);
+
+  // The next event continues the sequence in the overwritten slot.
+  ASSERT_TRUE(source.ProcessText("<unrelated/>").ok());
+  const EventPage next = source.EventsSince(all.next);
+  ASSERT_EQ(next.events.size(), 1u);
+  EXPECT_EQ(next.events[0].seq, all.next);
+  EXPECT_EQ(next.events[0].kind, SourceEvent::Kind::kUnclassified);
+  EXPECT_EQ(source.events_retained(), kCapacity);
+  EXPECT_EQ(source.EventsSince(0).oldest, kExtra + 1);
 }
 
 TEST(XmlSourceTest, OnlyRepositoryEntriesAreMaterialized) {
@@ -335,12 +387,11 @@ std::vector<Recovery> FullPass(
   return recovered;
 }
 
-/// The `kReclassified` events from index `from` on.
+/// The `kReclassified` events from sequence number `from` on.
 std::vector<Recovery> ReclassifiedSince(const XmlSource& source,
-                                        size_t from) {
+                                        uint64_t from) {
   std::vector<Recovery> recovered;
-  for (size_t i = from; i < source.events().size(); ++i) {
-    const SourceEvent& event = source.events()[i];
+  for (const SourceEvent& event : source.EventsSince(from).events) {
     if (event.kind == SourceEvent::Kind::kReclassified) {
       recovered.push_back({event.dtd_name, event.similarity});
     }
@@ -378,7 +429,7 @@ TEST(XmlSourceTest, ChangedDtdReclassificationMatchesFullPass) {
 
     auto check_pass = [&](const std::vector<std::pair<int, xml::Document>>&
                               before,
-                          size_t events_before, size_t reported) {
+                          uint64_t events_before, size_t reported) {
       const std::vector<Recovery> expected = FullPass(*source, before);
       EXPECT_EQ(ReclassifiedSince(*source, events_before), expected)
           << "seed " << seed;
@@ -390,7 +441,7 @@ TEST(XmlSourceTest, ChangedDtdReclassificationMatchesFullPass) {
     while (!drifting.Done() || !families.Done()) {
       const uint64_t roll = rng() % 100;
       const auto before = RepositorySnapshot(*source);
-      const size_t events_before = source->events().size();
+      const uint64_t events_before = source->events_total();
       if (roll < 4) {
         const std::vector<std::string> names = source->DtdNames();
         source->ForceEvolve(names[rng() % names.size()]);
@@ -423,7 +474,7 @@ TEST(XmlSourceTest, ChangedDtdReclassificationMatchesFullPass) {
       }
     }
     const auto before = RepositorySnapshot(*source);
-    const size_t events_before = source->events().size();
+    const uint64_t events_before = source->events_total();
     check_pass(before, events_before, source->ReclassifyRepository());
   }
   EXPECT_GT(passes, 50u);
