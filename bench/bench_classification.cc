@@ -14,6 +14,7 @@
 
 #include "bench_json.h"
 #include "bench_util.h"
+#include "check/reference_parser.h"
 #include "classify/classification_memo.h"
 #include "classify/classifier.h"
 #include "core/source.h"
@@ -216,8 +217,9 @@ double RunCorpus(const classify::Classifier& classifier,
 // End-to-end ingest (parse → classify → record → check) over the
 // repetitive-corpus workload: a stream of small documents whose shapes
 // recur exactly — the steady-state feed the streaming path is built
-// for. The DOM reference path (`streaming_parse` off, classification
-// memo off) runs against the streaming default (single-pass arena
+// for. The reference path (the independent reference parser feeding
+// `Process(Document)`, classification memo off) runs against the
+// streaming default (`ProcessText`: single-pass arena
 // parse; repeated root fingerprints replay the memoized outcome
 // without materializing a DOM). Outcomes must match entry by entry
 // across every round.
@@ -264,8 +266,24 @@ struct IngestRun {
   std::vector<core::XmlSource::ProcessOutcome> outcomes;
 };
 
+/// One document through `src`: the streaming default (`ProcessText`),
+/// or — when `reference` — `check::ReferenceParseDocument` feeding
+/// `Process(Document)`.
+core::XmlSource::ProcessOutcome Ingest(core::XmlSource& src,
+                                       const std::string& text,
+                                       bool reference) {
+  if (reference) {
+    StatusOr<xml::Document> doc = check::ReferenceParseDocument(text);
+    if (!doc.ok()) std::abort();
+    return src.Process(std::move(doc).value());
+  }
+  StatusOr<core::XmlSource::ProcessOutcome> outcome = src.ProcessText(text);
+  if (!outcome.ok()) std::abort();
+  return *outcome;
+}
+
 IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
-                    const core::SourceOptions& options) {
+                    const core::SourceOptions& options, bool reference) {
   core::XmlSource src(options);
   for (size_t i = 0; i < corpus.dtds.size(); ++i) {
     if (!src.AddDtd(corpus.names[i], corpus.dtds[i].Clone()).ok()) {
@@ -277,10 +295,7 @@ IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
   const auto start = std::chrono::steady_clock::now();
   for (size_t r = 0; r < rounds; ++r) {
     for (const std::string& text : corpus.texts) {
-      StatusOr<core::XmlSource::ProcessOutcome> outcome =
-          src.ProcessText(text);
-      if (!outcome.ok()) std::abort();
-      run.outcomes.push_back(*outcome);
+      run.outcomes.push_back(Ingest(src, text, reference));
     }
   }
   run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -298,7 +313,8 @@ IngestRun RunIngest(const RepetitiveCorpus& corpus, size_t rounds,
 // measurements, each repeated for its spread:
 //
 //   * ingest: parse → classify → record → check → evolve through
-//     `XmlSource::ProcessText`, DOM reference path vs streaming default;
+//     the reference path (reference parser → `Process(Document)`, memo
+//     off) vs the streaming default (`ProcessText`);
 //     outcomes must match entry by entry;
 //   * classify stage: each document's parse excluded, a memo-less
 //     classifier scores the arena tree in place vs the materialize-then-
@@ -358,10 +374,10 @@ struct MissIngestRun {
 };
 
 MissIngestRun RunMissIngest(const MissCorpus& corpus,
-                            const core::SourceOptions& base) {
+                            const core::SourceOptions& base, bool reference) {
   classify::ClassificationMemo memo;
   core::SourceOptions options = base;
-  if (options.streaming_parse) options.classifier.shared_memo = &memo;
+  if (!reference) options.classifier.shared_memo = &memo;
   core::XmlSource src(options);
   for (size_t i = 0; i < corpus.dtds.size(); ++i) {
     if (!src.AddDtd(corpus.names[i], corpus.dtds[i].Clone()).ok()) {
@@ -372,9 +388,7 @@ MissIngestRun RunMissIngest(const MissCorpus& corpus,
   run.outcomes.reserve(corpus.texts.size());
   const auto start = std::chrono::steady_clock::now();
   for (const std::string& text : corpus.texts) {
-    StatusOr<core::XmlSource::ProcessOutcome> outcome = src.ProcessText(text);
-    if (!outcome.ok()) std::abort();
-    run.outcomes.push_back(*outcome);
+    run.outcomes.push_back(Ingest(src, text, reference));
   }
   run.ns_per_doc = std::chrono::duration<double, std::nano>(
                        std::chrono::steady_clock::now() - start)
@@ -417,7 +431,6 @@ size_t AddMissLeg(bench::JsonObject& json) {
   const MissCorpus corpus = MakeMissCorpus();
 
   core::SourceOptions dom_options;
-  dom_options.streaming_parse = false;
   dom_options.classifier.enable_classification_memo = false;
   core::SourceOptions stream_options;  // streaming defaults
 
@@ -426,8 +439,10 @@ size_t AddMissLeg(bench::JsonObject& json) {
   classify::ClassificationMemo::Stats memo_stats;
   uint64_t evolutions = 0, unclassified = 0;
   for (size_t r = 0; r < kRepeats; ++r) {
-    const MissIngestRun dom_run = RunMissIngest(corpus, dom_options);
-    const MissIngestRun stream_run = RunMissIngest(corpus, stream_options);
+    const MissIngestRun dom_run =
+        RunMissIngest(corpus, dom_options, /*reference=*/true);
+    const MissIngestRun stream_run =
+        RunMissIngest(corpus, stream_options, /*reference=*/false);
     dom_ns.push_back(dom_run.ns_per_doc);
     stream_ns.push_back(stream_run.ns_per_doc);
     for (size_t i = 0; i < stream_run.outcomes.size(); ++i) {
@@ -569,7 +584,7 @@ int RunHeadline(const std::string& out) {
                : 0.0)
       .Add("outcome_mismatches", static_cast<uint64_t>(mismatches));
 
-  // Parse-path ingest leg: DOM reference vs streaming default over the
+  // Parse-path ingest leg: reference path vs streaming default over the
   // repetitive-corpus workload. Enough rounds that the steady state
   // (memo warm, stats maps populated) dominates the first-sight misses.
   constexpr size_t kIngestRounds = 10000;
@@ -577,7 +592,6 @@ int RunHeadline(const std::string& out) {
 
   core::SourceOptions dom_options;
   dom_options.keep_documents = false;
-  dom_options.streaming_parse = false;
   dom_options.classifier.enable_classification_memo = false;
 
   core::SourceOptions stream_options;
@@ -586,10 +600,10 @@ int RunHeadline(const std::string& out) {
   classify::ClassificationMemo memo;
   stream_options.classifier.shared_memo = &memo;
 
-  const IngestRun dom_run =
-      RunIngest(ingest_corpus, kIngestRounds, dom_options);
-  const IngestRun stream_run =
-      RunIngest(ingest_corpus, kIngestRounds, stream_options);
+  const IngestRun dom_run = RunIngest(ingest_corpus, kIngestRounds,
+                                      dom_options, /*reference=*/true);
+  const IngestRun stream_run = RunIngest(ingest_corpus, kIngestRounds,
+                                         stream_options, /*reference=*/false);
 
   size_t ingest_mismatches = 0;
   for (size_t i = 0; i < stream_run.outcomes.size(); ++i) {

@@ -14,12 +14,17 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "classify/classifier.h"
 #include "core/source.h"
 #include "dtd/dtd_parser.h"
+#include "util/thread_pool.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve::bench {
 namespace {
@@ -99,24 +104,34 @@ void BM_ProcessBatch(benchmark::State& state) {
   options.tau = 0.2;
   options.min_documents_before_check = 64;
   options.keep_documents = false;
-  std::vector<xml::Document> docs = MixedWorkload(kDocs);
+  xml::WriteOptions compact;
+  compact.indent = false;
+  std::vector<std::string> texts;
+  for (const xml::Document& doc : MixedWorkload(kDocs)) {
+    texts.push_back(xml::WriteDocument(doc, compact));
+  }
+  // `jobs` threads in total: the calling thread scores beside the pool.
+  std::optional<util::ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs - 1);
 
   for (auto _ : state) {
     state.PauseTiming();
     auto source = std::make_unique<core::XmlSource>(options);
     (void)source->AddDtdText("mail", kMailDtdText);
     (void)source->AddDtdText("book", kBookDtdText);
-    std::vector<xml::Document> copies;
-    copies.reserve(docs.size());
-    for (const xml::Document& doc : docs) copies.push_back(doc.Clone());
+    std::vector<xml::ArenaDocument> docs;
+    docs.reserve(texts.size());
+    for (const std::string& text : texts) {
+      docs.push_back(xml::ParseArenaDocument(text).value());
+    }
     state.ResumeTiming();
 
     std::vector<core::XmlSource::ProcessOutcome> outcomes =
-        source->ProcessBatch(std::move(copies), jobs);
+        source->ProcessBatch(std::move(docs), pool ? &*pool : nullptr);
     benchmark::DoNotOptimize(outcomes);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(docs.size()));
+                          static_cast<int64_t>(texts.size()));
 }
 BENCHMARK(BM_ProcessBatch)
     ->Arg(1)

@@ -1,14 +1,17 @@
-// Fuzz target: the streaming pull reader, differentially against the DOM
-// parser. Shares the xml seed corpus with fuzz_xml_parser:
+// Fuzz target: the streaming pull reader (the product's only XML
+// parser), differentially against the independent reference parser
+// (`check::ReferenceParseDocument`). Shares the xml seed corpus with
+// fuzz_xml_parser:
 //
 //   build-fuzz/fuzz/fuzz_stream_reader tests/corpus/xml --seconds 60
 //
-// The two parsers must agree on accept/reject for every input; on accept
-// the arena tree must convert to a structurally equal DOM, the DOCTYPE
-// fields must match, and the parse-time root fingerprint must be
-// bit-identical to the after-the-fact DOM fingerprint index — the
-// contract the classification memo's correctness rests on. Both trees
-// must also score bit-identically against one fixed DTD, with and
+// The two parsers must agree on accept/reject for every input, with the
+// identical error message; on accept the arena tree must convert to a
+// structurally equal DOM that serializes compactly to the same bytes,
+// the DOCTYPE fields must match, and the parse-time root fingerprint
+// must be bit-identical to the after-the-fact DOM fingerprint index —
+// the contract the classification memo's correctness rests on. Both
+// trees must also score bit-identically against one fixed DTD, with and
 // without a thesaurus: a memo miss is scored on the arena tree, so the
 // arena instantiation of the similarity recursion must never drift
 // from the DOM one.
@@ -18,13 +21,14 @@
 #include <cstring>
 #include <string_view>
 
+#include "check/reference_parser.h"
 #include "dtd/dtd_parser.h"
 #include "similarity/score_cache.h"
 #include "similarity/similarity.h"
 #include "similarity/thesaurus.h"
 #include "xml/document.h"
-#include "xml/parser.h"
 #include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace {
 
@@ -79,11 +83,16 @@ bool SameBits(double a, double b) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view input(reinterpret_cast<const char*>(data), size);
   dtdevolve::StatusOr<dtdevolve::xml::Document> dom =
-      dtdevolve::xml::ParseDocument(input);
+      dtdevolve::check::ReferenceParseDocument(input);
   dtdevolve::StatusOr<dtdevolve::xml::ArenaDocument> arena =
       dtdevolve::xml::ParseArenaDocument(input);
   if (dom.ok() != arena.ok()) __builtin_trap();
-  if (!dom.ok()) return 0;
+  if (!dom.ok()) {
+    if (dom.status().message() != arena.status().message()) {
+      __builtin_trap();
+    }
+    return 0;
+  }
   if (dom->has_root() != arena->has_root()) __builtin_trap();
   if (dom->doctype_name() != arena->doctype_name() ||
       dom->internal_subset() != arena->internal_subset()) {
@@ -93,6 +102,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (dom->has_root() != converted.has_root()) __builtin_trap();
   if (!dom->has_root()) return 0;
   if (!dtdevolve::xml::StructurallyEqual(dom->root(), converted.root())) {
+    __builtin_trap();
+  }
+  dtdevolve::xml::WriteOptions compact;
+  compact.indent = false;
+  if (dtdevolve::xml::WriteDocument(*dom, compact) !=
+      dtdevolve::xml::WriteDocument(converted, compact)) {
     __builtin_trap();
   }
   dtdevolve::similarity::SubtreeFingerprints fps(dom->root());

@@ -1,5 +1,6 @@
-// Fuzz target: the XML lexer/parser plus the recursive walks a parsed
-// tree immediately undergoes in the pipeline (counting, height,
+// Fuzz target: the XML parser (`xml::ParseDocument`, the streaming
+// reader plus `ToDocument`) and the recursive walks a parsed tree
+// immediately undergoes in the pipeline (counting, height,
 // serialization, content symbols). The parser must return a clean Status
 // for every input — never crash, hang, or overflow the stack — and
 // accepted documents must survive the walks and re-serialize.

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/reference_parser.h"
 #include "core/report.h"
 #include "core/source.h"
 #include "dtd/dtd_parser.h"
@@ -29,8 +31,8 @@
 #include "similarity/score_cache.h"
 #include "store/checkpoint.h"
 #include "store/wal.h"
+#include "util/thread_pool.h"
 #include "validate/validator.h"
-#include "xml/parser.h"
 #include "xml/stream_reader.h"
 #include "workload/mutator.h"
 #include "workload/rng.h"
@@ -688,25 +690,55 @@ class ReferenceRun {
 
 // --- Batch replicas (invariant 3) -------------------------------------------
 
-Fingerprint RunBatchReplica(const Scenario& scenario, size_t jobs) {
+/// The scenario's documents as a batch ingest receives them: each
+/// serialized compactly and read back by the streaming reader.
+StatusOr<std::vector<xml::ArenaDocument>> ArenaDocsOf(
+    const Scenario& scenario) {
+  xml::WriteOptions compact;
+  compact.indent = false;
+  std::vector<xml::ArenaDocument> docs;
+  docs.reserve(scenario.documents.size());
+  for (size_t i = 0; i < scenario.documents.size(); ++i) {
+    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(
+        xml::WriteDocument(scenario.documents[i], compact));
+    if (!doc.ok()) {
+      return Status::ParseError("document " + std::to_string(i) + ": " +
+                                doc.status().message());
+    }
+    docs.push_back(std::move(doc).value());
+  }
+  return docs;
+}
+
+/// `ProcessBatch` over the scenario on `jobs` threads in total (a pool
+/// of `jobs - 1` beside the calling thread).
+StatusOr<Fingerprint> RunBatchReplica(const Scenario& scenario, size_t jobs) {
+  StatusOr<std::vector<xml::ArenaDocument>> docs = ArenaDocsOf(scenario);
+  if (!docs.ok()) return docs.status();
   core::XmlSource src(scenario.options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());
   }
-  std::vector<xml::Document> docs;
-  docs.reserve(scenario.documents.size());
-  for (const xml::Document& doc : scenario.documents) {
-    docs.push_back(doc.Clone());
-  }
+  std::optional<util::ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs - 1);
   std::vector<core::XmlSource::ProcessOutcome> outcomes =
-      src.ProcessBatch(std::move(docs), jobs);
+      src.ProcessBatch(std::move(docs).value(), pool ? &*pool : nullptr);
   return FingerprintOf(src, outcomes);
 }
 
 void CompareFingerprints(const Fingerprint& reference,
-                         const Fingerprint& batch, size_t jobs,
+                         const StatusOr<Fingerprint>& replica, size_t jobs,
                          ScenarioResult& result) {
   if (result.violations.size() >= kMaxViolationsPerScenario) return;
+  if (!replica.ok()) {
+    result.violations.push_back(
+        {"batch-divergence", "", 0,
+         "jobs=" + std::to_string(jobs) +
+             ": batch replica could not read its input: " +
+             replica.status().message()});
+    return;
+  }
+  const Fingerprint& batch = *replica;
   if (reference.size() != batch.size()) {
     result.violations.push_back(
         {"batch-divergence", "", 0,
@@ -1371,17 +1403,23 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
   Fingerprint reference_fp = FingerprintOf(reference, outcomes);
   AppendInductionFingerprint(reference, &reference_fp);
   for (size_t jobs : options.jobs) {
+    StatusOr<std::vector<xml::ArenaDocument>> docs = ArenaDocsOf(scenario);
+    if (!docs.ok()) {
+      AddInductionViolation(result, "induction-batch-divergence", "", 0,
+                            "jobs=" + std::to_string(jobs) +
+                                ": batch replica could not read its "
+                                "input: " +
+                                docs.status().message());
+      continue;
+    }
     core::XmlSource replica(scenario.options);
     for (const auto& [name, dtd] : scenario.dtds) {
       (void)replica.AddDtd(name, dtd.Clone());
     }
-    std::vector<xml::Document> docs;
-    docs.reserve(scenario.documents.size());
-    for (const xml::Document& doc : scenario.documents) {
-      docs.push_back(doc.Clone());
-    }
+    std::optional<util::ThreadPool> pool;
+    if (jobs > 1) pool.emplace(jobs - 1);
     std::vector<core::XmlSource::ProcessOutcome> replica_outcomes =
-        replica.ProcessBatch(std::move(docs), jobs);
+        replica.ProcessBatch(std::move(docs).value(), pool ? &*pool : nullptr);
 
     bool replay_ok = true;
     for (const std::string& op : ops) {
@@ -1402,7 +1440,7 @@ ScenarioResult RunInductionScenario(uint64_t scenario_seed,
         break;
       }
       if (StatusOr<core::XmlSource::AcceptOutcome> accepted =
-              replica.AcceptCandidate(target->id, jobs);
+              replica.AcceptCandidate(target->id, pool ? &*pool : nullptr);
           !accepted.ok()) {
         AddInductionViolation(result, "induction-batch-divergence", op, 0,
                               "jobs=" + std::to_string(jobs) +
@@ -1870,55 +1908,71 @@ std::string FormatReplicationReport(const ReplicationOracleReport& report) {
 
 namespace {
 
-/// The pure-DOM reference configuration: the legacy two-pass parser with
-/// the classification memo disabled, so nothing the streaming path adds
-/// (arena trees, fingerprint-keyed outcome replay) participates on the
-/// reference side of the comparison.
-core::SourceOptions DomReferenceOptions(core::SourceOptions options) {
-  options.streaming_parse = false;
+/// The reference side of the comparison: the independent reference
+/// parser feeding `Process(Document)`, with the classification memo
+/// disabled, so nothing the streaming path adds (arena trees,
+/// fingerprint-keyed outcome replay) participates in it.
+core::SourceOptions ReferenceOptions(core::SourceOptions options) {
   options.classifier.enable_classification_memo = false;
   return options;
 }
 
 struct TextPipelineRun {
-  Fingerprint fingerprint;
-  std::string error;  // non-empty when some document failed to parse
+  Fingerprint fingerprint;  // state plus every outcome
+  Fingerprint durable;      // CrashFingerprintOf: what recovery restores
+  std::string error;        // non-empty when some document failed to parse
 };
 
-/// Feeds the serialized stream through `ProcessText` — the entry point
-/// whose parse path `streaming_parse` selects — and fingerprints the
-/// resulting state plus every outcome.
+/// Feeds the serialized stream through one pipeline and fingerprints the
+/// resulting state. The streaming run goes through `ProcessText` (the
+/// entry point every ingest path and WAL replay use) with the scenario's
+/// options; the reference run parses each text with
+/// `ReferenceParseDocument` and processes the DOM with the memo off.
 TextPipelineRun RunTextPipeline(const Scenario& scenario,
                                 const std::vector<std::string>& texts,
-                                const core::SourceOptions& options) {
+                                bool reference) {
   TextPipelineRun run;
-  core::XmlSource src(options);
+  core::XmlSource src(reference ? ReferenceOptions(scenario.options)
+                                : scenario.options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());
   }
   std::vector<core::XmlSource::ProcessOutcome> outcomes;
   outcomes.reserve(texts.size());
   for (size_t i = 0; i < texts.size(); ++i) {
-    StatusOr<core::XmlSource::ProcessOutcome> outcome =
-        src.ProcessText(texts[i]);
-    if (!outcome.ok()) {
+    Status parsed = Status::Ok();
+    if (reference) {
+      StatusOr<xml::Document> doc = ReferenceParseDocument(texts[i]);
+      if (doc.ok()) {
+        outcomes.push_back(src.Process(std::move(doc).value()));
+      } else {
+        parsed = doc.status();
+      }
+    } else {
+      StatusOr<core::XmlSource::ProcessOutcome> outcome =
+          src.ProcessText(texts[i]);
+      if (outcome.ok()) {
+        outcomes.push_back(*outcome);
+      } else {
+        parsed = outcome.status();
+      }
+    }
+    if (!parsed.ok()) {
       run.error = "document " + std::to_string(i) +
-                  " failed to parse: " + outcome.status().message();
+                  " failed to parse: " + parsed.message();
       return run;
     }
-    outcomes.push_back(*outcome);
   }
   run.fingerprint = FingerprintOf(src, outcomes);
+  run.durable = CrashFingerprintOf(src);
   return run;
 }
 
-/// Appends `texts` to a fresh WAL in `dir`, then boots a recovery with
-/// the given parse path (`RecoverSource` replays every document record
-/// through `ProcessText`) and returns the recovered durable-state
-/// fingerprint.
+/// Appends `texts` to a fresh WAL in `dir`, then boots a recovery
+/// (`RecoverSource` replays every document record through
+/// `ProcessText`) and returns the recovered durable-state fingerprint.
 StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
                                        const std::vector<std::string>& texts,
-                                       const core::SourceOptions& options,
                                        const std::string& dir) {
   {
     store::WalOptions wal_options;
@@ -1932,7 +1986,7 @@ StatusOr<Fingerprint> ReplayThroughWal(const Scenario& scenario,
       if (!lsn.ok()) return lsn.status();
     }
   }
-  core::XmlSource src(options);
+  core::XmlSource src(scenario.options);
   for (const auto& [name, dtd] : scenario.dtds) {
     (void)src.AddDtd(name, dtd.Clone());
   }
@@ -1971,10 +2025,11 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
     texts.push_back(xml::WriteDocument(doc, compact));
   }
 
-  // Leg 1: dual-parse every document and compare the trees and the
-  // parse-time fingerprints against the after-the-fact DOM index.
+  // Leg 1: parse every document with both parsers and compare the trees
+  // and the parse-time fingerprints against the after-the-fact DOM
+  // index of the reference tree.
   for (size_t i = 0; i < texts.size(); ++i) {
-    StatusOr<xml::Document> dom = xml::ParseDocument(texts[i]);
+    StatusOr<xml::Document> dom = ReferenceParseDocument(texts[i]);
     StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(texts[i]);
     if (dom.ok() != arena.ok()) {
       add("parse-path-document", i,
@@ -2029,12 +2084,12 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
     }
   }
 
-  // Leg 2: the full pipeline over the identical text stream, pure DOM
-  // reference vs streaming defaults.
+  // Leg 2: the full pipeline over the identical text stream, reference
+  // parser + DOM processing vs the streaming defaults.
   TextPipelineRun dom_run =
-      RunTextPipeline(scenario, texts, DomReferenceOptions(scenario.options));
+      RunTextPipeline(scenario, texts, /*reference=*/true);
   TextPipelineRun stream_run =
-      RunTextPipeline(scenario, texts, scenario.options);
+      RunTextPipeline(scenario, texts, /*reference=*/false);
   if (!dom_run.error.empty() || !stream_run.error.empty()) {
     add("parse-path-equivalence", 0,
         !dom_run.error.empty() ? "DOM pipeline: " + dom_run.error
@@ -2044,43 +2099,28 @@ ScenarioResult RunParsePathScenario(uint64_t scenario_seed,
         FingerprintDiff(dom_run.fingerprint, stream_run.fingerprint));
   }
 
-  // Leg 3 (sampled): WAL replay must hit the same code path — recover
-  // the appended stream once per parse path and compare the durable
-  // state against the live streaming run.
+  // Leg 3 (sampled): WAL replay must land on the same state — recover
+  // the appended stream and compare the durable state against both the
+  // live streaming run and the reference run.
   bool run_wal = options.wal_replay_every != 0 &&
                  scenario_seed % options.wal_replay_every == 0;
   if (run_wal && result.ok()) {
     if (ran_wal_replay != nullptr) *ran_wal_replay = true;
-    const std::string stream_dir = CrashTempDir(scenario_seed, 1);
-    const std::string dom_dir = CrashTempDir(scenario_seed, 2);
-    StatusOr<Fingerprint> streamed =
-        ReplayThroughWal(scenario, texts, scenario.options, stream_dir);
-    StatusOr<Fingerprint> dom_replay = ReplayThroughWal(
-        scenario, texts, DomReferenceOptions(scenario.options), dom_dir);
+    const std::string dir = CrashTempDir(scenario_seed, 1);
+    StatusOr<Fingerprint> recovered = ReplayThroughWal(scenario, texts, dir);
     std::error_code ec;
-    std::filesystem::remove_all(stream_dir, ec);
-    std::filesystem::remove_all(dom_dir, ec);
-    if (!streamed.ok() || !dom_replay.ok()) {
+    std::filesystem::remove_all(dir, ec);
+    if (!recovered.ok()) {
       add("parse-path-replay", 0,
-          "WAL replay failed: " + (!streamed.ok()
-                                       ? streamed.status().message()
-                                       : dom_replay.status().message()));
-    } else {
-      core::XmlSource live(scenario.options);
-      for (const auto& [name, dtd] : scenario.dtds) {
-        (void)live.AddDtd(name, dtd.Clone());
-      }
-      for (const std::string& text : texts) (void)live.ProcessText(text);
-      Fingerprint live_fp = CrashFingerprintOf(live);
-      if (*streamed != live_fp) {
-        add("parse-path-replay", 0,
-            "streaming recovery diverged from live run: " +
-                FingerprintDiff(live_fp, *streamed));
-      } else if (*dom_replay != live_fp) {
-        add("parse-path-replay", 0,
-            "DOM recovery diverged from live run: " +
-                FingerprintDiff(live_fp, *dom_replay));
-      }
+          "WAL replay failed: " + recovered.status().message());
+    } else if (*recovered != stream_run.durable) {
+      add("parse-path-replay", 0,
+          "recovery diverged from live streaming run: " +
+              FingerprintDiff(stream_run.durable, *recovered));
+    } else if (*recovered != dom_run.durable) {
+      add("parse-path-replay", 0,
+          "recovery diverged from reference run: " +
+              FingerprintDiff(dom_run.durable, *recovered));
     }
   }
   return result;

@@ -18,9 +18,11 @@ namespace dtdevolve::check {
 ///  2. restriction-preserves-validity / misc-preserves-validity —
 ///     old-window operator restriction and the misc window's OR never
 ///     invalidate an instance that was valid before the evolution;
-///  3. batch-divergence         — `ProcessBatch` at every jobs level
-///     produces byte-identical outcomes, events, evolved DTDs and
-///     extended-DTD state to feeding documents one at a time;
+///  3. batch-divergence         — `ProcessBatch` at every jobs level,
+///     fed each document's compact serialization re-read by the
+///     streaming reader, produces byte-identical outcomes, events,
+///     evolved DTDs and extended-DTD state to feeding the in-memory
+///     documents one at a time;
 ///  4. persist-fixed-point      — serialize → deserialize → re-serialize
 ///     of the extended DTD is a byte-level fixed point (and the file
 ///     round-trip through Save/LoadExtendedDtdFile matches);
@@ -165,8 +167,9 @@ std::string FormatCrashReport(const CrashOracleReport& report);
 ///   accept-reclassify-accounting — exactly `reclassified` documents
 ///     left the repository, and the accepted candidate's id is never
 ///     reissued;
-///   induction-batch-divergence — replaying the stream through
-///     `ProcessBatch` at every jobs level plus the identical
+///   induction-batch-divergence — replaying the stream (re-read from
+///     its compact serialization) through `ProcessBatch` at every jobs
+///     level plus the identical
 ///     induce/accept op sequence lands on byte-identical state
 ///     (including the pending-candidate list).
 struct InductionOracleOptions {
@@ -278,27 +281,29 @@ std::string FormatReplicationReport(const ReplicationOracleReport& report);
 
 /// Options of the parse-path-equivalence sweep (`RunParsePathOracle`).
 /// Each scenario's documents are serialized and re-read through BOTH
-/// parsers — the two-pass DOM parser (`xml::ParseDocument`) and the
-/// single-pass streaming reader (`xml::ParseArenaDocument`) — and the
-/// equivalence asserted at three levels:
+/// parsers — the independent two-pass reference parser
+/// (`check::ReferenceParseDocument`, test-only) and the single-pass
+/// streaming reader (`xml::ParseArenaDocument`, the product's only
+/// parser) — and the equivalence asserted at three levels:
 ///
 ///   parse-path-document    — the parsers agree on accept/reject (with
 ///     the identical error message), the arena tree converts to a
 ///     structurally equal DOM (tags, attributes, child order, collapsed
 ///     text, DOCTYPE fields), and the arena's parse-time root
 ///     fingerprint is bit-identical to `similarity::SubtreeFingerprints`
-///     computed over the DOM tree after the fact;
+///     computed over the reference tree after the fact;
 ///   parse-path-equivalence — two full pipelines fed the identical text
-///     stream — one with `streaming_parse` off and the classification
-///     memo disabled (the pure DOM reference), one with the streaming
-///     defaults (arena parse + memo replay) — land on byte-identical
-///     outcomes, events, counters, repository, evolved DTDs and
-///     extended-DTD state;
-///   parse-path-replay      — WAL replay hits the same code path: the
-///     scenario's stream is appended to a real WAL and recovered once
-///     per parse path (`store::RecoverSource` replays every document
-///     record through `ProcessText`), and both recoveries must be
-///     byte-identical to the live streaming run's durable state.
+///     stream — the reference (reference parser → `Process(Document)`,
+///     classification memo disabled) and the streaming defaults
+///     (`ProcessText`: arena parse + memo replay) — land on
+///     byte-identical outcomes, events, counters, repository, evolved
+///     DTDs and extended-DTD state;
+///   parse-path-replay      — WAL replay lands on the same state: the
+///     scenario's stream is appended to a real WAL and recovered
+///     (`store::RecoverSource` replays every document record through
+///     `ProcessText`), and the recovered durable state must be
+///     byte-identical to that of both the live streaming run and the
+///     reference run.
 struct ParsePathOracleOptions {
   uint64_t scenarios = 20;
   uint64_t seed = 1;

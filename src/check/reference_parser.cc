@@ -1,10 +1,80 @@
-#include "xml/lexer.h"
+#include "check/reference_parser.h"
 
 #include <cctype>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "util/string_util.h"
 #include "xml/text.h"
 
-namespace dtdevolve::xml {
+namespace dtdevolve::check {
+
+namespace {
+
+using xml::Attribute;
+using xml::Document;
+using xml::Element;
+using xml::IsNameChar;
+using xml::IsNameStartChar;
+using xml::UnescapeText;
+
+/// One lexical event from the document stream.
+struct Token {
+  enum class Kind {
+    kStartTag,   // <name attr="v" ...>  (self_closing true for <name/>)
+    kEndTag,     // </name>
+    kText,       // character data (entities decoded)
+    kComment,    // <!-- ... --> (content without delimiters)
+    kPi,         // <?target ...?> (content without delimiters)
+    kDoctype,    // <!DOCTYPE name [subset]> — name + raw internal subset
+    kEof,
+  };
+
+  Kind kind = Kind::kEof;
+  std::string name;                   // tag / target / doctype name
+  std::vector<Attribute> attributes;  // for kStartTag
+  std::string text;                   // text / comment / PI / subset content
+  bool self_closing = false;          // for kStartTag
+  size_t line = 0;                    // 1-based line of the token start
+};
+
+/// Pull lexer over an in-memory XML document. Produces a stream of Tokens;
+/// all errors are reported with the 1-based source line.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view input) : input_(input) {}
+
+  Lexer(const Lexer&) = delete;
+  Lexer& operator=(const Lexer&) = delete;
+
+  /// Returns the next token, or a ParseError status.
+  StatusOr<Token> Next();
+
+  /// 1-based line number at the current cursor.
+  size_t line() const { return line_; }
+
+ private:
+  bool AtEnd() const { return pos_ >= input_.size(); }
+  char Peek() const { return input_[pos_]; }
+  char Advance();
+  bool Consume(char expected);
+  bool ConsumeWord(std::string_view word);
+  void SkipWhitespace();
+  Status ErrorHere(std::string message) const;
+
+  StatusOr<std::string> LexName();
+  StatusOr<std::string> LexQuotedValue();
+  StatusOr<Token> LexMarkup();        // cursor just after '<'
+  StatusOr<Token> LexBang();          // cursor just after '<!'
+  StatusOr<Token> LexDoctype();       // cursor just after '<!DOCTYPE'
+  StatusOr<Token> LexStartTag();      // cursor at first char of name
+  StatusOr<Token> LexText();
+
+  std::string_view input_;
+  size_t pos_ = 0;
+  size_t line_ = 1;
+};
 
 char Lexer::Advance() {
   char c = input_[pos_++];
@@ -231,4 +301,107 @@ StatusOr<Token> Lexer::LexStartTag() {
   }
 }
 
-}  // namespace dtdevolve::xml
+/// Element-nesting bound. Tree construction itself is iterative, but the
+/// tree is later walked (and destroyed) recursively, so a pathologically
+/// deep document would overflow the stack long after parsing succeeded.
+/// Real documents stay far below this; crafted ones get a clean error.
+constexpr size_t kMaxElementDepth = 512;
+
+/// Builds the element tree from the token stream. `open` is the stack of
+/// currently open elements; the document root is set when the outermost
+/// element closes.
+Status BuildTree(Lexer& lexer, Document& doc) {
+  std::vector<Element*> open;
+  while (true) {
+    StatusOr<Token> next = lexer.Next();
+    if (!next.ok()) return next.status();
+    Token& token = *next;
+    switch (token.kind) {
+      case Token::Kind::kEof:
+        if (!open.empty()) {
+          return Status::ParseError("unexpected end of input: <" +
+                                    open.back()->tag() + "> is not closed");
+        }
+        if (!doc.has_root()) {
+          return Status::ParseError("document has no root element");
+        }
+        return Status::Ok();
+      case Token::Kind::kStartTag: {
+        if (open.empty() && doc.has_root()) {
+          return Status::ParseError(
+              "line " + std::to_string(token.line) +
+              ": multiple root elements (second is <" + token.name + ">)");
+        }
+        if (open.size() >= kMaxElementDepth) {
+          return Status::ParseError(
+              "line " + std::to_string(token.line) +
+              ": elements nested deeper than " +
+              std::to_string(kMaxElementDepth));
+        }
+        auto element = std::make_unique<Element>(token.name);
+        for (Attribute& attr : token.attributes) {
+          element->AddAttribute(std::move(attr.name), std::move(attr.value));
+        }
+        Element* raw = element.get();
+        if (open.empty()) {
+          doc.set_root(std::move(element));
+        } else {
+          open.back()->AddChild(std::move(element));
+        }
+        if (!token.self_closing) open.push_back(raw);
+        break;
+      }
+      case Token::Kind::kEndTag: {
+        if (open.empty()) {
+          return Status::ParseError("line " + std::to_string(token.line) +
+                                    ": unmatched end tag </" + token.name +
+                                    ">");
+        }
+        if (open.back()->tag() != token.name) {
+          return Status::ParseError("line " + std::to_string(token.line) +
+                                    ": end tag </" + token.name +
+                                    "> does not match open <" +
+                                    open.back()->tag() + ">");
+        }
+        open.pop_back();
+        break;
+      }
+      case Token::Kind::kText: {
+        if (open.empty()) {
+          if (!IsBlank(token.text)) {
+            return Status::ParseError("line " + std::to_string(token.line) +
+                                      ": character data outside root element");
+          }
+          break;
+        }
+        if (!IsBlank(token.text)) {
+          open.back()->AddText(std::move(token.text));
+        }
+        break;
+      }
+      case Token::Kind::kComment:
+      case Token::Kind::kPi:
+        break;  // ignored
+      case Token::Kind::kDoctype:
+        if (doc.has_root() || !open.empty()) {
+          return Status::ParseError("line " + std::to_string(token.line) +
+                                    ": DOCTYPE after content");
+        }
+        doc.set_doctype_name(std::move(token.name));
+        doc.set_internal_subset(std::move(token.text));
+        break;
+    }
+  }
+}
+
+}  // namespace
+
+StatusOr<xml::Document> ReferenceParseDocument(std::string_view input) {
+  Lexer lexer(input);
+  Document doc;
+  Status st = BuildTree(lexer, doc);
+  if (!st.ok()) return st;
+  return doc;
+}
+
+}  // namespace dtdevolve::check

@@ -342,19 +342,6 @@ std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
   return outcomes;
 }
 
-std::vector<ClassificationOutcome> Classifier::ClassifyBatch(
-    const std::vector<const xml::Document*>& docs,
-    util::ThreadPool* pool) const {
-  std::vector<ClassificationOutcome> outcomes(docs.size());
-  auto score = [&](size_t i) { outcomes[i] = Classify(*docs[i]); };
-  if (pool == nullptr) {
-    for (size_t i = 0; i < docs.size(); ++i) score(i);
-  } else {
-    pool->ParallelFor(docs.size(), score);
-  }
-  return outcomes;
-}
-
 ClassificationOutcome Classifier::ClassifyAmong(
     const xml::Document& doc, const std::vector<std::string>& names) const {
   ClassificationOutcome outcome;

@@ -191,8 +191,10 @@ class Classifier {
   /// Scoring half of the arena `Classify`, for documents whose
   /// `MemoProbe` already missed: scores each arena tree in place (no
   /// second memo lookup, no DOM) and inserts its outcome into the memo.
-  /// Runs on `pool` like `ClassifyBatch`; entry i equals
-  /// `Classify(*docs[i])`.
+  /// Scores on an existing pool so repeated rounds (the chunks of
+  /// `XmlSource::ProcessBatch`) don't respawn threads; `pool == nullptr`
+  /// scores inline, otherwise the calling thread scores alongside the
+  /// pool's workers. Entry i equals `Classify(*docs[i])`.
   std::vector<ClassificationOutcome> ClassifyMisses(
       const std::vector<const xml::ArenaDocument*>& docs,
       util::ThreadPool* pool) const;
@@ -206,13 +208,6 @@ class Classifier {
   /// repository). Entries must be non-null.
   std::vector<ClassificationOutcome> ClassifyBatch(
       const std::vector<const xml::Document*>& docs, size_t jobs) const;
-  /// Scores on an existing pool so repeated rounds (the chunks of
-  /// `XmlSource::ProcessBatch`) don't respawn threads; `pool == nullptr`
-  /// scores inline, otherwise the calling thread scores alongside the
-  /// pool's workers.
-  std::vector<ClassificationOutcome> ClassifyBatch(
-      const std::vector<const xml::Document*>& docs,
-      util::ThreadPool* pool) const;
 
   /// Classifies `doc` against the registered DTDs among `names` only
   /// (unknown names are ignored), with the σ threshold and tie-break of
@@ -227,7 +222,7 @@ class Classifier {
   /// `scores` stays empty and the memo is neither read nor written.
   ClassificationOutcome ClassifyAmong(
       const xml::Document& doc, const std::vector<std::string>& names) const;
-  /// `ClassifyAmong` over a batch, on `pool` like `ClassifyBatch`.
+  /// `ClassifyAmong` over a batch, on `pool` like `ClassifyMisses`.
   std::vector<ClassificationOutcome> ClassifyBatchAmong(
       const std::vector<const xml::Document*>& docs,
       const std::vector<std::string>& names, util::ThreadPool* pool) const;

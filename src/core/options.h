@@ -44,14 +44,6 @@ struct SourceOptions {
   /// structures join in O(1).
   bool cluster_repository = true;
 
-  /// Parse incoming text through the single-pass streaming reader into
-  /// an arena tree (`xml::ParseArenaDocument`) instead of the two-pass
-  /// DOM parser. Outcome-equivalent — the streaming path accepts and
-  /// rejects exactly the same inputs and classifies every document
-  /// identically (the parse-path differential oracle enforces this) —
-  /// but skips DOM materialization entirely on classification-memo hits.
-  bool streaming_parse = true;
-
   evolve::EvolutionOptions evolution;
   /// Repository clustering → candidate-DTD induction knobs.
   induce::InduceOptions induce;

@@ -5,7 +5,6 @@
 
 #include "dtd/dtd_parser.h"
 #include "util/thread_pool.h"
-#include "xml/parser.h"
 #include "xml/stream_reader.h"
 
 namespace dtdevolve::core {
@@ -212,56 +211,9 @@ XmlSource::ProcessOutcome XmlSource::ApplyClassification(
   return outcome;
 }
 
-std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
-    std::vector<xml::Document> docs, size_t jobs) {
-  if (jobs == 0) jobs = util::ThreadPool::DefaultJobs();
-  // One pool for the whole batch; chunks reuse its workers, and the
-  // calling thread is one of the `jobs`.
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && docs.size() > 1) pool.emplace(jobs - 1);
-  return ProcessBatch(std::move(docs), pool ? &*pool : nullptr);
-}
-
-std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
-    std::vector<xml::Document> docs, util::ThreadPool* pool) {
-  const size_t threads = pool != nullptr ? pool->size() + 1 : 1;
-  std::vector<ProcessOutcome> outcomes;
-  outcomes.reserve(docs.size());
-  // Score a chunk in parallel, then apply serially in input order. The
-  // chunk bounds the speculation: an evolution invalidates the scores of
-  // the documents after it, which are then re-scored against the evolved
-  // DTD set — exactly what sequential `Process` would have seen.
-  const size_t chunk = std::max<size_t>(32, 16 * threads);
-  size_t i = 0;
-  while (i < docs.size()) {
-    const size_t end = std::min(docs.size(), i + chunk);
-    std::vector<const xml::Document*> pending;
-    pending.reserve(end - i);
-    for (size_t j = i; j < end; ++j) pending.push_back(&docs[j]);
-    std::vector<classify::ClassificationOutcome> classifications =
-        classifier_.ClassifyBatch(pending, pool);
-    size_t applied = 0;
-    for (size_t j = i; j < end; ++j) {
-      PendingDocument pending;
-      pending.dom.emplace(std::move(docs[j]));
-      outcomes.push_back(ApplyClassification(std::move(pending),
-                                             classifications[j - i], pool));
-      ++applied;
-      if (outcomes.back().evolved) break;  // remaining scores are stale
-    }
-    i += applied;
-  }
-  return outcomes;
-}
-
 StatusOr<XmlSource::ProcessOutcome> XmlSource::ProcessText(
     std::string_view xml_text) {
-  if (options_.streaming_parse) {
-    StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(xml_text);
-    if (!doc.ok()) return doc.status();
-    return Process(std::move(doc).value());
-  }
-  StatusOr<xml::Document> doc = xml::ParseDocument(xml_text);
+  StatusOr<xml::ArenaDocument> doc = xml::ParseArenaDocument(xml_text);
   if (!doc.ok()) return doc.status();
   return Process(std::move(doc).value());
 }
@@ -271,8 +223,11 @@ std::vector<XmlSource::ProcessOutcome> XmlSource::ProcessBatch(
   const size_t threads = pool != nullptr ? pool->size() + 1 : 1;
   std::vector<ProcessOutcome> outcomes;
   outcomes.reserve(docs.size());
-  // Same chunked speculation as the DOM batch, with a memo split in
-  // front: hits replay their outcome with no scoring, and only the
+  // Score a chunk, then apply serially in input order. The chunk bounds
+  // the speculation: an evolution invalidates the scores of the
+  // documents after it, which are then re-probed and re-scored against
+  // the evolved DTD set — exactly what sequential `Process` would have
+  // seen. Memo hits replay their outcome with no scoring, and only the
   // misses of the chunk are batch-scored — on their arena trees, so no
   // DOM is built unless a document ends up in the repository. An
   // evolution bumps the set-epoch, so the re-probed remainder of the

@@ -131,7 +131,10 @@ class XmlSource {
     size_t reclassified = 0;  // repository documents recovered afterwards
   };
 
-  /// Classifies, records and (when the check phase fires) evolves.
+  /// Classifies, records and (when the check phase fires) evolves. For
+  /// trees built in memory (the workload generator, the examples, the
+  /// oracles' reference runs); parsed text goes through the arena entry
+  /// points below.
   ProcessOutcome Process(xml::Document doc);
   /// Streaming twin: classifies memo-first from the arena's parse-time
   /// root fingerprint, scores a miss on the arena tree itself, and
@@ -140,39 +143,28 @@ class XmlSource {
   /// `keep_documents` keeps a copy). Outcome-equivalent to converting
   /// and calling the DOM overload.
   ProcessOutcome Process(xml::ArenaDocument doc);
-  /// Parses then processes — through the streaming reader when
-  /// `options().streaming_parse` (the default), else the DOM parser.
-  /// Both parsers accept/reject identical inputs with identical errors.
+  /// Parses through the streaming reader (`xml::ParseArenaDocument`),
+  /// then processes the arena tree as above.
   StatusOr<ProcessOutcome> ProcessText(std::string_view xml_text);
 
-  /// Batch variant of `Process`: scores documents against the DTD set
-  /// concurrently on `jobs` threads in total (0 ⇒ hardware concurrency,
-  /// ≤ 1 ⇒ inline), then applies recording / check / evolution serially in
-  /// input order. Scoring is speculative: when an evolution fires
-  /// mid-batch the not-yet-applied scores are stale and the remainder of
-  /// the batch is re-scored against the evolved set, so the outcomes —
-  /// classifications, events, evolved DTDs — are identical to feeding
-  /// every document through `Process` one at a time, at any jobs level.
+  /// Batch variant of `Process`: memo hits replay without scoring, and
+  /// the misses of each chunk are scored on their arena trees
+  /// concurrently on `pool` (the calling thread scores alongside the
+  /// pool's workers; `pool == nullptr` scores inline). Recording, check
+  /// and evolution are then applied serially in input order. Scoring is
+  /// speculative: when an evolution fires mid-batch the not-yet-applied
+  /// scores are stale and the remainder of the batch is re-probed and
+  /// re-scored against the evolved set, so the outcomes —
+  /// classifications, events, evolved DTDs — are identical, entry by
+  /// entry, to feeding every document through `Process` one at a time,
+  /// with or without a pool of any size. A DOM is built only for
+  /// documents entering the repository, as in `Process`. A long-running
+  /// server shares one pool across every ingest batch (and the
+  /// re-classification passes they trigger).
   ///
   /// `XmlSource` itself is single-writer: no other method may run while
   /// `ProcessBatch` is in flight. The internal fan-out only ever calls
   /// the const, non-mutating scoring path of `Classifier`.
-  std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
-                                           size_t jobs = 0);
-
-  /// `ProcessBatch` on a caller-owned pool, so a long-running server can
-  /// share one pool across every ingest batch (and the re-classification
-  /// passes they trigger) instead of respawning threads. The calling
-  /// thread scores alongside the pool's workers; `pool == nullptr` scores
-  /// inline. Outcomes are identical either way.
-  std::vector<ProcessOutcome> ProcessBatch(std::vector<xml::Document> docs,
-                                           util::ThreadPool* pool);
-
-  /// Arena batch: memo hits replay without scoring; only the misses of
-  /// each chunk are scored (in parallel on `pool`, on their arena
-  /// trees). A DOM is built only for documents entering the repository,
-  /// as in `Process`. Outcomes are identical — entry by entry — to
-  /// converting every document and calling the DOM `ProcessBatch`.
   std::vector<ProcessOutcome> ProcessBatch(
       std::vector<xml::ArenaDocument> docs, util::ThreadPool* pool);
 
@@ -309,9 +301,9 @@ class XmlSource {
 
  private:
   /// A document on its way through the apply tail, in whichever
-  /// representation it has: the DOM path fills `dom` only; the
-  /// streaming path points `arena` at the caller's arena tree and leaves
-  /// `dom` empty until `TakeDom`.
+  /// representation it has: `Process(Document)` fills `dom` only; the
+  /// arena entry points point `arena` at the caller's arena tree and
+  /// leave `dom` empty until `TakeDom`.
   struct PendingDocument {
     const xml::ArenaDocument* arena = nullptr;
     std::optional<xml::Document> dom;

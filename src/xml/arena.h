@@ -83,9 +83,9 @@ struct ArenaAttribute {
 /// when `element` is null — one non-blank text run. Consecutive
 /// non-blank runs (e.g. split by a comment or a CDATA boundary) are
 /// pre-merged into a single slot at parse time; blank runs are dropped,
-/// exactly as the DOM parser drops them. Both are equivalence-preserving
-/// for everything downstream reads (content symbols, concatenated text,
-/// structural equality, fingerprints).
+/// exactly as the reference parser drops them. Both are
+/// equivalence-preserving for everything downstream reads (content
+/// symbols, concatenated text, structural equality, fingerprints).
 struct ArenaChild {
   const ArenaElement* element = nullptr;
   std::string_view text;
@@ -204,12 +204,13 @@ class ArenaDocument {
 
   const Arena& arena() const { return arena_; }
 
-  /// Conversion shim for DOM-only consumers (repository, persistence,
-  /// oracle, tests): materializes an equivalent `xml::Document`. Adjacent
-  /// text runs arrive pre-merged, so the result can have fewer `Text`
-  /// children than a direct DOM parse of the same input — every
-  /// structural reader (content symbols, `TextContent`,
-  /// `StructurallyEqual`, fingerprints) sees identical values.
+  /// Materializes an equivalent `xml::Document` for DOM consumers (the
+  /// repository, `keep_documents`, and `xml::ParseDocument`, which is
+  /// the streaming parse followed by this). Adjacent text runs arrive
+  /// pre-merged, so the result can have fewer `Text` children than the
+  /// reference parser's tree of the same input — every structural
+  /// reader (content symbols, `TextContent`, `StructurallyEqual`,
+  /// fingerprints) and the compact writer see identical values.
   Document ToDocument() const;
 
  private:

@@ -1,125 +1,13 @@
 #include "xml/parser.h"
 
-#include <memory>
-#include <vector>
-
-#include "util/string_util.h"
-#include "xml/lexer.h"
+#include "xml/stream_reader.h"
 
 namespace dtdevolve::xml {
 
-namespace {
-
-/// Element-nesting bound. Tree construction itself is iterative, but the
-/// tree is later walked (and destroyed) recursively, so a pathologically
-/// deep document would overflow the stack long after parsing succeeded.
-/// Real documents stay far below this; crafted ones get a clean error.
-constexpr size_t kMaxElementDepth = 512;
-
-/// Builds the element tree from the token stream. `open` is the stack of
-/// currently open elements; the document root is set when the outermost
-/// element closes.
-Status BuildTree(Lexer& lexer, Document& doc) {
-  std::vector<Element*> open;
-  while (true) {
-    StatusOr<Token> next = lexer.Next();
-    if (!next.ok()) return next.status();
-    Token& token = *next;
-    switch (token.kind) {
-      case Token::Kind::kEof:
-        if (!open.empty()) {
-          return Status::ParseError("unexpected end of input: <" +
-                                    open.back()->tag() + "> is not closed");
-        }
-        if (!doc.has_root()) {
-          return Status::ParseError("document has no root element");
-        }
-        return Status::Ok();
-      case Token::Kind::kStartTag: {
-        if (open.empty() && doc.has_root()) {
-          return Status::ParseError(
-              "line " + std::to_string(token.line) +
-              ": multiple root elements (second is <" + token.name + ">)");
-        }
-        if (open.size() >= kMaxElementDepth) {
-          return Status::ParseError(
-              "line " + std::to_string(token.line) +
-              ": elements nested deeper than " +
-              std::to_string(kMaxElementDepth));
-        }
-        auto element = std::make_unique<Element>(token.name);
-        for (Attribute& attr : token.attributes) {
-          element->AddAttribute(std::move(attr.name), std::move(attr.value));
-        }
-        Element* raw = element.get();
-        if (open.empty()) {
-          doc.set_root(std::move(element));
-        } else {
-          open.back()->AddChild(std::move(element));
-        }
-        if (!token.self_closing) open.push_back(raw);
-        break;
-      }
-      case Token::Kind::kEndTag: {
-        if (open.empty()) {
-          return Status::ParseError("line " + std::to_string(token.line) +
-                                    ": unmatched end tag </" + token.name +
-                                    ">");
-        }
-        if (open.back()->tag() != token.name) {
-          return Status::ParseError("line " + std::to_string(token.line) +
-                                    ": end tag </" + token.name +
-                                    "> does not match open <" +
-                                    open.back()->tag() + ">");
-        }
-        open.pop_back();
-        break;
-      }
-      case Token::Kind::kText: {
-        if (open.empty()) {
-          if (!IsBlank(token.text)) {
-            return Status::ParseError("line " + std::to_string(token.line) +
-                                      ": character data outside root element");
-          }
-          break;
-        }
-        if (!IsBlank(token.text)) {
-          open.back()->AddText(std::move(token.text));
-        }
-        break;
-      }
-      case Token::Kind::kComment:
-      case Token::Kind::kPi:
-        break;  // ignored
-      case Token::Kind::kDoctype:
-        if (doc.has_root() || !open.empty()) {
-          return Status::ParseError("line " + std::to_string(token.line) +
-                                    ": DOCTYPE after content");
-        }
-        doc.set_doctype_name(std::move(token.name));
-        doc.set_internal_subset(std::move(token.text));
-        break;
-    }
-  }
-}
-
-}  // namespace
-
 StatusOr<Document> ParseDocument(std::string_view input) {
-  Lexer lexer(input);
-  Document doc;
-  Status st = BuildTree(lexer, doc);
-  if (!st.ok()) return st;
-  return doc;
-}
-
-StatusOr<Document> ParseElementFragment(std::string_view input) {
-  StatusOr<Document> doc = ParseDocument(input);
-  if (!doc.ok()) return doc.status();
-  if (!doc->doctype_name().empty()) {
-    return Status::ParseError("fragment must not contain a DOCTYPE");
-  }
-  return doc;
+  StatusOr<ArenaDocument> arena = ParseArenaDocument(input);
+  if (!arena.ok()) return arena.status();
+  return arena->ToDocument();
 }
 
 }  // namespace dtdevolve::xml

@@ -14,9 +14,9 @@ namespace dtdevolve::xml {
 
 namespace {
 
-/// Element-nesting bound, identical to the DOM parser's: the tree (DOM
-/// or arena) is later walked recursively, so depth must stay bounded
-/// whichever path parsed it.
+/// Element-nesting bound, identical to the reference parser's: the tree
+/// (arena, or the DOM `ToDocument` builds) is later walked recursively,
+/// so depth must stay bounded.
 constexpr size_t kMaxElementDepth = 512;
 
 /// Small direct-mapped front cache over `util::InternSymbolBounded`:
@@ -96,17 +96,13 @@ Status StreamReader::LexNameView(std::string_view* out) {
 }
 
 Status StreamReader::DecodeInto(std::string_view raw, std::string* scratch,
-                                std::string_view* out, size_t at_line) {
+                                std::string_view* out) {
   if (raw.find('&') == std::string_view::npos) {
     *out = raw;
     return Status::Ok();
   }
   StatusOr<std::string> decoded = UnescapeText(raw);
-  if (!decoded.ok()) {
-    error_ = Status::ParseError("line " + std::to_string(at_line) + ": " +
-                                std::string(decoded.status().message()));
-    return error_;
-  }
+  if (!decoded.ok()) return ErrorHere(decoded.status().message());
   *scratch = std::move(decoded).value();
   *out = *scratch;
   return Status::Ok();
@@ -166,7 +162,7 @@ Status StreamReader::LexText(StreamEvent* event, bool* emitted) {
   line_ += static_cast<size_t>(std::count(raw.begin(), raw.end(), '\n'));
   pos_ = end;
   std::string_view decoded;
-  Status st = DecodeInto(raw, &text_scratch_, &decoded, start_line);
+  Status st = DecodeInto(raw, &text_scratch_, &decoded);
   if (!st.ok()) return st;
   if (IsBlank(decoded)) return Status::Ok();  // dropped, like the parser
   if (open_.empty()) {
@@ -206,7 +202,7 @@ Status StreamReader::LexMarkup(StreamEvent* event, bool* emitted) {
           Advance();
           Advance();
           Advance();
-          // CDATA content is literal — never unescaped, like the lexer.
+          // CDATA content is literal — never unescaped, as in the reference.
           if (IsBlank(raw)) return Status::Ok();
           if (open_.empty()) {
             error_ =
@@ -266,22 +262,6 @@ Status StreamReader::LexStartTag(StreamEvent* event) {
   std::string_view name;
   Status st = LexNameView(&name);
   if (!st.ok()) return st;
-  // Document discipline, checked before attribute lexing would not
-  // change the answer: the DOM parser sees the whole token first, but a
-  // token with these errors can never become valid, so checking either
-  // side of the attribute list accepts the same language.
-  if (open_.empty() && has_root_) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": multiple root elements (second is <" +
-                                std::string(name) + ">)");
-    return error_;
-  }
-  if (open_.size() >= kMaxElementDepth) {
-    error_ = Status::ParseError(
-        "line " + std::to_string(start_line) + ": elements nested deeper than " +
-        std::to_string(kMaxElementDepth));
-    return error_;
-  }
   attributes_.clear();
   attr_scratch_.clear();
   bool self_closing = false;
@@ -304,14 +284,13 @@ Status StreamReader::LexStartTag(StreamEvent* event) {
     if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
       return ErrorHere("expected a quoted attribute value");
     }
-    const size_t value_line = line_;
     char quote = Advance();
     size_t value_start = pos_;
     size_t close = input_.find(quote, pos_);
     if (close == std::string_view::npos) {
-      // The DOM lexer scans the whole remainder looking for the closing
-      // quote, counting newlines as it goes; mirror that so the error
-      // lands on the same line number.
+      // The reference parser scans the whole remainder looking for the
+      // closing quote, counting newlines as it goes; mirror that so the
+      // error lands on the same line number.
       std::string_view tail = input_.substr(pos_);
       line_ += static_cast<size_t>(std::count(tail.begin(), tail.end(), '\n'));
       pos_ = input_.size();
@@ -325,17 +304,27 @@ Status StreamReader::LexStartTag(StreamEvent* event) {
       value = raw;
     } else {
       StatusOr<std::string> decoded = UnescapeText(raw);
-      if (!decoded.ok()) {
-        error_ =
-            Status::ParseError("line " + std::to_string(value_line) + ": " +
-                               std::string(decoded.status().message()));
-        return error_;
-      }
+      if (!decoded.ok()) return ErrorHere(decoded.status().message());
       attr_scratch_.push_back(
           std::make_unique<std::string>(std::move(decoded).value()));
       value = *attr_scratch_.back();
     }
     attributes_.push_back({attr_name, value});
+  }
+  // Document discipline, checked once the whole tag has lexed — as the
+  // reference parser does — so a malformed tag reports its lexical error
+  // first and every rejection carries the reference's message.
+  if (open_.empty() && has_root_) {
+    error_ = Status::ParseError("line " + std::to_string(start_line) +
+                                ": multiple root elements (second is <" +
+                                std::string(name) + ">)");
+    return error_;
+  }
+  if (open_.size() >= kMaxElementDepth) {
+    error_ = Status::ParseError(
+        "line " + std::to_string(start_line) + ": elements nested deeper than " +
+        std::to_string(kMaxElementDepth));
+    return error_;
   }
   if (open_.empty()) has_root_ = true;
   if (self_closing) {
@@ -380,11 +369,6 @@ Status StreamReader::LexEndTag(StreamEvent* event) {
 
 Status StreamReader::LexDoctype(StreamEvent* event) {
   const size_t start_line = line_;
-  if (has_root_ || !open_.empty()) {
-    error_ = Status::ParseError("line " + std::to_string(start_line) +
-                                ": DOCTYPE after content");
-    return error_;
-  }
   SkipWhitespace();
   std::string_view name;
   Status st = LexNameView(&name);
@@ -424,6 +408,12 @@ Status StreamReader::LexDoctype(StreamEvent* event) {
     SkipWhitespace();
   }
   if (!Consume('>')) return ErrorHere("expected '>' closing DOCTYPE");
+  // Checked once the declaration has lexed, as the reference does.
+  if (has_root_ || !open_.empty()) {
+    error_ = Status::ParseError("line " + std::to_string(start_line) +
+                                ": DOCTYPE after content");
+    return error_;
+  }
   event->kind = StreamEventKind::kDoctype;
   event->name = name;
   event->text = subset;

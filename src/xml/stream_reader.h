@@ -41,13 +41,14 @@ struct StreamEvent {
 /// Single-pass pull tokenizer + well-formedness checker over an
 /// in-memory document: emits StartElement/EndElement/Text/Doctype events
 /// directly from the input with no intermediate token vector, and
-/// enforces the exact document discipline of `ParseDocument`
-/// (element-depth bound, one root, matching end tags, no character data
-/// outside the root, DOCTYPE only before content) so the event stream
-/// always describes a well-formed tree. Comments and processing
-/// instructions are validated and skipped; blank text runs are dropped —
-/// both exactly as the DOM parser does, which the streaming-vs-DOM
-/// differential suite and the fuzz harness lock in.
+/// enforces the exact document discipline of the independent reference
+/// parser `check::ReferenceParseDocument` (element-depth bound, one
+/// root, matching end tags, no character data outside the root, DOCTYPE
+/// only before content) so the event stream always describes a
+/// well-formed tree. Comments and processing instructions are validated
+/// and skipped; blank text runs are dropped — both exactly as the
+/// reference does, which the parse-path differential suite and the fuzz
+/// harness lock in. This is the product's only XML parser.
 ///
 /// View lifetime: `name`, `text` and `attributes()` are valid until the
 /// next `Next` call — names and raw runs point into the input, decoded
@@ -81,9 +82,10 @@ class StreamReader {
   /// Lexes a name as a view into the input (names never need decoding).
   Status LexNameView(std::string_view* out);
   /// Decodes `raw` into `*out`: a direct input view when it holds no
-  /// entity, else an unescaped copy in `scratch`.
+  /// entity, else an unescaped copy in `scratch`. A decoding error is
+  /// reported at the current line (the end of `raw`).
   Status DecodeInto(std::string_view raw, std::string* scratch,
-                    std::string_view* out, size_t at_line);
+                    std::string_view* out);
 
   Status LexText(StreamEvent* event, bool* emitted);
   Status LexMarkup(StreamEvent* event, bool* emitted);
@@ -117,7 +119,9 @@ class StreamReader {
 /// fingerprints accumulated bottom-up (bit-identical to
 /// `similarity::SubtreeFingerprints` over the DOM parse of the same
 /// input), text presence recorded per element. Accepts and rejects
-/// exactly the inputs `ParseDocument` does.
+/// exactly the inputs the reference parser (`check::ReferenceParseDocument`)
+/// does, with identical error messages. `xml::ParseDocument` is this
+/// followed by `ArenaDocument::ToDocument`.
 StatusOr<ArenaDocument> ParseArenaDocument(std::string_view input);
 
 }  // namespace dtdevolve::xml

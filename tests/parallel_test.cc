@@ -22,6 +22,8 @@
 #include "workload/generator.h"
 #include "workload/mutator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
+#include "xml/writer.h"
 
 namespace dtdevolve {
 namespace {
@@ -83,11 +85,25 @@ std::vector<xml::Document> MixedDocs(size_t n, double drift,
   return docs;
 }
 
-std::vector<xml::Document> CloneAll(const std::vector<xml::Document>& docs) {
-  std::vector<xml::Document> copies;
-  copies.reserve(docs.size());
-  for (const xml::Document& doc : docs) copies.push_back(doc.Clone());
-  return copies;
+/// `ProcessBatch` over `docs` as a batch ingest receives them — each
+/// serialized compactly and read back by the streaming reader — on
+/// `jobs` threads in total (a pool of `jobs - 1` beside the caller).
+std::vector<core::XmlSource::ProcessOutcome> ProcessOnJobs(
+    core::XmlSource& source, const std::vector<xml::Document>& docs,
+    size_t jobs) {
+  xml::WriteOptions compact;
+  compact.indent = false;
+  std::vector<xml::ArenaDocument> arenas;
+  arenas.reserve(docs.size());
+  for (const xml::Document& doc : docs) {
+    StatusOr<xml::ArenaDocument> arena =
+        xml::ParseArenaDocument(xml::WriteDocument(doc, compact));
+    EXPECT_TRUE(arena.ok()) << arena.status().ToString();
+    if (arena.ok()) arenas.push_back(std::move(arena).value());
+  }
+  std::optional<util::ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs - 1);
+  return source.ProcessBatch(std::move(arenas), pool ? &*pool : nullptr);
 }
 
 core::SourceOptions EvolvingOptions() {
@@ -365,7 +381,7 @@ TEST(ProcessBatchTest, IdenticalToSequentialProcessAtEveryJobsLevel) {
     core::XmlSource batch(EvolvingOptions());
     AddTestDtds(batch);
     std::vector<core::XmlSource::ProcessOutcome> outcomes =
-        batch.ProcessBatch(CloneAll(docs), jobs);
+        ProcessOnJobs(batch, docs, jobs);
     ASSERT_EQ(outcomes.size(), expected.size()) << "jobs " << jobs;
     for (size_t i = 0; i < outcomes.size(); ++i) {
       ExpectSameOutcome(outcomes[i], expected[i], i);
@@ -394,7 +410,7 @@ TEST(ProcessBatchTest, MidBatchEvolutionInvalidatesStaleScores) {
   core::XmlSource batch(options);
   AddTestDtds(batch);
   std::vector<core::XmlSource::ProcessOutcome> outcomes =
-      batch.ProcessBatch(CloneAll(docs), 4);
+      ProcessOnJobs(batch, docs, 4);
   ASSERT_EQ(outcomes.size(), expected.size());
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ExpectSameOutcome(outcomes[i], expected[i], i);
@@ -410,7 +426,7 @@ TEST(ProcessBatchTest, ReclassifyRepositoryParallelMatchesSequential) {
   auto run = [&](size_t jobs) {
     auto source = std::make_unique<core::XmlSource>(options);
     AddTestDtds(*source);
-    source->ProcessBatch(CloneAll(docs), jobs);
+    ProcessOnJobs(*source, docs, jobs);
     source->ForceEvolve("mail");
     source->ForceEvolve("book");
     std::optional<util::ThreadPool> pool;

@@ -1,9 +1,13 @@
-// Streaming-vs-DOM parse-path differential suite: both parsers must
-// accept/reject identical inputs, produce structurally equal trees with
-// bit-identical subtree fingerprints, and classify every document
-// identically (with the classification memo replaying cached outcomes
-// under the set-epoch discipline). Runs over the on-disk xml corpus,
-// all four workload scenario streams, and the seeded parse-path oracle.
+// Parse-path differential suite: the streaming reader (the product's
+// only XML parser, and through `ToDocument` the body of
+// `xml::ParseDocument`) against the independent reference parser
+// (`check::ReferenceParseDocument`). Both must accept/reject identical
+// inputs with identical errors, produce structurally equal trees that
+// serialize compactly to the same bytes, with bit-identical subtree
+// fingerprints, and classify every document identically (with the
+// classification memo replaying cached outcomes under the set-epoch
+// discipline). Runs over the on-disk xml corpus, all four workload
+// scenario streams, and the seeded parse-path oracle.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "check/oracle.h"
+#include "check/reference_parser.h"
 #include "classify/classifier.h"
 #include "similarity/score_cache.h"
 #include "similarity/thesaurus.h"
@@ -38,15 +43,15 @@ std::string Slurp(const std::filesystem::path& path) {
   return buffer.str();
 }
 
-/// Asserts full equivalence of one input across the two parse paths:
+/// Asserts full equivalence of one input across the two parsers:
 /// accept/reject agreement (with the identical error message), equal
 /// trees and DOCTYPE fields, and a parse-time root fingerprint
-/// bit-identical to the after-the-fact DOM index.
+/// bit-identical to the after-the-fact DOM index of the reference tree.
 void ExpectPathsAgree(const std::string& input, const std::string& label) {
-  StatusOr<xml::Document> dom = xml::ParseDocument(input);
+  StatusOr<xml::Document> dom = check::ReferenceParseDocument(input);
   StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(input);
   ASSERT_EQ(dom.ok(), arena.ok())
-      << label << ": accept/reject disagreement — DOM "
+      << label << ": accept/reject disagreement — reference "
       << (dom.ok() ? "accepts" : dom.status().message()) << ", streaming "
       << (arena.ok() ? "accepts" : arena.status().message());
   if (!dom.ok()) {
@@ -98,7 +103,8 @@ TEST(ParsePathTest, WorkloadStreamsAgreeAcrossParsers) {
 }
 
 TEST(ParsePathTest, TextRunCollapseMatchesDomSemantics) {
-  // Comments and CDATA boundaries split text into multiple DOM runs; the
+  // Comments and CDATA boundaries split text into multiple reference-tree
+  // runs; the
   // arena pre-merges adjacent non-blank runs and drops blank ones, which
   // must be invisible to every structural reader.
   const std::vector<std::string> inputs = {
@@ -110,7 +116,7 @@ TEST(ParsePathTest, TextRunCollapseMatchesDomSemantics) {
   };
   for (const std::string& input : inputs) {
     ExpectPathsAgree(input, input);
-    StatusOr<xml::Document> dom = xml::ParseDocument(input);
+    StatusOr<xml::Document> dom = check::ReferenceParseDocument(input);
     StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(input);
     ASSERT_TRUE(dom.ok() && arena.ok()) << input;
     EXPECT_EQ(StripWhitespace(dom->root().TextContent()),
@@ -118,6 +124,94 @@ TEST(ParsePathTest, TextRunCollapseMatchesDomSemantics) {
                   arena->ToDocument().root().TextContent()))
         << input;
   }
+}
+
+TEST(ParsePathTest, ParseDocumentWritesTheReferenceBytes) {
+  // `xml::ParseDocument` is the streaming reader plus `ToDocument`, which
+  // merges text runs split by a comment, CDATA boundary or PI. Compact
+  // serialization — what checkpoints, snapshots and the oracles write —
+  // must not see that: it is byte-identical to serializing the
+  // reference parser's tree. Pretty-printed output is identical too,
+  // except where a split run sits among element children (`pretty`
+  // false): there the merged run is one indented line, pinned below.
+  struct Input {
+    std::string label;
+    std::string text;
+    bool pretty = true;
+  };
+  std::vector<Input> inputs;
+  const std::filesystem::path dir =
+      std::filesystem::path(DTDEVOLVE_CORPUS_DIR) / "xml";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    inputs.push_back({entry.path().filename().string(), Slurp(entry.path())});
+  }
+  for (const char* text : {
+           "<a>t<!--c-->u<![CDATA[v]]></a>",
+           "<a>t<?pi data?>u</a>",
+           "<a>x<![CDATA[ y ]]>z</a>",
+           "<a><![CDATA[<raw>&amp;]]>t<!--c--></a>",
+           "<a>  <!--c-->  </a>",
+           "<a>t<!--c-->  <!--d-->u</a>",
+           "<a>&lt;<!--c-->&#65;<?p?>&amp;</a>",
+           "<?xml version=\"1.0\"?><!DOCTYPE a [<!ELEMENT a (#PCDATA)>]>"
+           "<a>t<!--c-->u</a>",
+           "<a><b>x<!--c-->y</b><b><![CDATA[p]]>q</b></a>",
+       }) {
+    inputs.push_back({text, text});
+  }
+  for (const char* text : {
+           "<a>x<b>inner</b>y<!--c-->z</a>",
+           "<a>pre<?pi?>post<b/></a>",
+       }) {
+    inputs.push_back({text, text, /*pretty=*/false});
+  }
+  // Rejections: the error message must be the reference's, verbatim —
+  // including which error a doubly malformed input reports first, and
+  // on which line an error spanning lines is reported.
+  for (const char* text : {
+           "", "<a>t<!--c", "<a>t<![CDATA[x</a>", "<a><?pi", "<a>x</b>",
+           "<a/><b/>", "t<a/>", "<a>&bogus;</a>", "<a><!DOCTYPE a></a>",
+           "<a>\n<b>\n</a>",
+           "<ne href=\"a.png\"/><imed\n",  // second root, unterminated
+           "<a/><b k=v/>",                 // second root, bad attribute
+           "<a/><!DOCTYPE a \"x",          // late DOCTYPE, unterminated
+           "<a>x\n\n&bogus;</a>",          // entity error after newlines
+           "<a k=\"x\n&bogus;\"/>",        // ... inside an attribute
+       }) {
+    inputs.push_back({text, text});
+  }
+
+  xml::WriteOptions compact;
+  compact.indent = false;
+  size_t accepted = 0, rejected = 0;
+  for (const Input& input : inputs) {
+    StatusOr<xml::Document> reference =
+        check::ReferenceParseDocument(input.text);
+    StatusOr<xml::Document> parsed = xml::ParseDocument(input.text);
+    ASSERT_EQ(reference.ok(), parsed.ok()) << input.label;
+    if (!reference.ok()) {
+      ++rejected;
+      EXPECT_EQ(reference.status().message(), parsed.status().message())
+          << input.label;
+      continue;
+    }
+    ++accepted;
+    EXPECT_EQ(xml::WriteDocument(*parsed, compact),
+              xml::WriteDocument(*reference, compact))
+        << input.label;
+    if (input.pretty) {
+      EXPECT_EQ(xml::WriteDocument(*parsed), xml::WriteDocument(*reference))
+          << input.label;
+    }
+  }
+  EXPECT_GE(accepted, 15u);
+  EXPECT_GE(rejected, 16u);  // truncated.xml plus the fifteen above
+
+  StatusOr<xml::Document> mixed =
+      xml::ParseDocument("<a>x<b>inner</b>y<!--c-->z</a>");
+  ASSERT_TRUE(mixed.ok());
+  EXPECT_EQ(xml::WriteDocument(*mixed), "<a>\n  x\n  <b>inner</b>\n  yz\n</a>");
 }
 
 TEST(ParsePathTest, ChildElementIteratorsMatchMaterializedVectors) {
@@ -216,7 +310,7 @@ struct ParsedPair {
 
 void AddParsedPair(const std::string& text, const std::string& label,
                    std::vector<ParsedPair>& out) {
-  StatusOr<xml::Document> dom = xml::ParseDocument(text);
+  StatusOr<xml::Document> dom = check::ReferenceParseDocument(text);
   StatusOr<xml::ArenaDocument> arena = xml::ParseArenaDocument(text);
   ASSERT_TRUE(dom.ok() && arena.ok()) << label;
   out.push_back({label, std::move(dom).value(), std::move(arena).value()});
@@ -304,7 +398,7 @@ TEST(ParsePathTest, ClassificationOutcomesIdenticalAcrossPaths) {
   std::vector<const xml::ArenaDocument*> arena_docs;
   for (const ParsedPair& input : inputs) arena_docs.push_back(&input.arena);
   for (const Config& config : configs) {
-    // The DOM reference scores every document (its memo is off); the
+    // The reference tree scores every document (its memo is off); the
     // arena side runs the configuration as given, so with the memo on
     // the second pass replays. A third classifier scores all arena
     // trees as one batch of misses on a pool.

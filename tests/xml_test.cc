@@ -174,6 +174,27 @@ TEST(ParserTest, WhitespaceOnlyTextIsDropped) {
   EXPECT_EQ(doc->root().children().size(), 2u);
 }
 
+TEST(ParserTest, AdjacentTextRunsComeBackAsOneTextChild) {
+  // Runs split only by a comment, a CDATA boundary or a PI are one Text
+  // child (the streaming reader pre-merges them); an element between
+  // runs still separates them.
+  StatusOr<Document> doc = ParseDocument("<a>t<!--c-->u<![CDATA[v]]></a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->root().children().size(), 1u);
+  ASSERT_TRUE(doc->root().children()[0]->is_text());
+  EXPECT_EQ(static_cast<const Text&>(*doc->root().children()[0]).value(),
+            "tuv");
+
+  doc = ParseDocument("<a>x<?pi data?>y<b/>z</a>");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_EQ(doc->root().children().size(), 3u);
+  EXPECT_EQ(static_cast<const Text&>(*doc->root().children()[0]).value(),
+            "xy");
+  EXPECT_EQ(doc->root().children()[1]->AsElement().tag(), "b");
+  EXPECT_EQ(static_cast<const Text&>(*doc->root().children()[2]).value(),
+            "z");
+}
+
 // --- writer ------------------------------------------------------------------
 
 TEST(WriterTest, RoundTripThroughParser) {

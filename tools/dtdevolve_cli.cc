@@ -26,11 +26,13 @@
 // Unknown `--flags` are usage errors everywhere; `serve` additionally
 // rejects non-positive --port/--jobs.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,8 +48,10 @@
 #include "dtd/dtd_writer.h"
 #include "server/server.h"
 #include "similarity/similarity.h"
+#include "util/thread_pool.h"
 #include "validate/validator.h"
 #include "xml/parser.h"
+#include "xml/stream_reader.h"
 #include "xml/writer.h"
 #include "xsd/from_dtd.h"
 #include "xsd/writer.h"
@@ -77,6 +81,12 @@ StatusOr<dtdevolve::xml::Document> LoadDoc(const std::string& path) {
   return dtdevolve::xml::ParseDocument(*text);
 }
 
+StatusOr<dtdevolve::xml::ArenaDocument> LoadArenaDoc(const std::string& path) {
+  StatusOr<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return dtdevolve::xml::ParseArenaDocument(*text);
+}
+
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
@@ -88,8 +98,7 @@ int Usage() {
                "                       [--score-cache-mb N] "
                "[--no-score-cache]\n"
                "                       [--classification-memo-mb N] "
-               "[--no-classification-memo]\n"
-               "                       [--no-streaming-parse] <xml>...\n"
+               "[--no-classification-memo] <xml>...\n"
                "  dtdevolve adapt      <dtd> <xml>\n"
                "  dtdevolve induce     <dtd> [--sigma S] [--jobs N] "
                "[--merge-threshold M]\n"
@@ -111,7 +120,6 @@ int Usage() {
                "[--no-score-cache]\n"
                "                       [--classification-memo-mb N] "
                "[--no-classification-memo]\n"
-               "                       [--no-streaming-parse]\n"
                "                       [--tenants LIST|N] "
                "[--tenant-config FILE]\n"
                "                       [--auto-induce-threshold N]\n"
@@ -272,9 +280,9 @@ int CmdEvolve(std::vector<std::string> args) {
   options.sigma = 0.3;
   options.tau = 0.15;
   options.min_documents_before_check = 1;
-  // --jobs N switches to batch ingest: all documents are loaded up
-  // front and scored concurrently on N threads (0 = all cores). The
-  // outcome is identical to the sequential one-at-a-time mode.
+  // --jobs N scores each batch concurrently on N threads (0 = all
+  // cores); without it scoring runs on this thread. The outcome is
+  // identical either way.
   long jobs = -1;
   std::vector<std::string> files;
   for (size_t i = 0; i < args.size(); ++i) {
@@ -333,10 +341,6 @@ int CmdEvolve(std::vector<std::string> args) {
       options.classifier.enable_classification_memo = false;
       continue;
     }
-    if (args[i] == "--no-streaming-parse") {
-      options.streaming_parse = false;
-      continue;
-    }
     if (IsFlag(args[i])) return UnknownFlag(args[i]);
     files.push_back(args[i]);
   }
@@ -353,39 +357,32 @@ int CmdEvolve(std::vector<std::string> args) {
     std::fprintf(stderr, "%s\n", added.ToString().c_str());
     return 1;
   }
+  const size_t threads = jobs == 0 ? dtdevolve::util::ThreadPool::DefaultJobs()
+                                   : static_cast<size_t>(std::max(jobs, 1L));
+  std::optional<dtdevolve::util::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads - 1);
+  // Files are parsed and ingested a batch at a time, so the parsed trees
+  // held at once stay bounded however many files are named. Outcomes do
+  // not depend on the batch size or the pool, and nothing is printed
+  // until every file is in, so a malformed file yields only its error.
+  constexpr size_t kBatchFiles = 256;
   size_t classified = 0;
-  if (jobs >= 0) {
-    // Batch ingest: parse everything, then classify in parallel.
-    std::vector<dtdevolve::xml::Document> docs;
-    docs.reserve(files.size());
-    for (const std::string& file : files) {
-      StatusOr<dtdevolve::xml::Document> doc = LoadDoc(file);
+  for (size_t begin = 0; begin < files.size(); begin += kBatchFiles) {
+    const size_t end = std::min(files.size(), begin + kBatchFiles);
+    std::vector<dtdevolve::xml::ArenaDocument> docs;
+    docs.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      StatusOr<dtdevolve::xml::ArenaDocument> doc = LoadArenaDoc(files[i]);
       if (!doc.ok()) {
-        std::fprintf(stderr, "%s: %s\n", file.c_str(),
+        std::fprintf(stderr, "%s: %s\n", files[i].c_str(),
                      doc.status().ToString().c_str());
         return 1;
       }
       docs.push_back(std::move(*doc));
     }
-    for (const auto& outcome : source.ProcessBatch(
-             std::move(docs), static_cast<size_t>(jobs))) {
+    for (const auto& outcome :
+         source.ProcessBatch(std::move(docs), pool ? &*pool : nullptr)) {
       if (outcome.classified) ++classified;
-    }
-  } else {
-    for (const std::string& file : files) {
-      StatusOr<std::string> text = ReadFile(file);
-      if (!text.ok()) {
-        std::fprintf(stderr, "%s: %s\n", file.c_str(),
-                     text.status().ToString().c_str());
-        return 1;
-      }
-      auto outcome = source.ProcessText(*text);
-      if (!outcome.ok()) {
-        std::fprintf(stderr, "%s: %s\n", file.c_str(),
-                     outcome.status().ToString().c_str());
-        return 1;
-      }
-      if (outcome->classified) ++classified;
     }
   }
   // One final forced round absorbs whatever the τ check left pending.
@@ -799,10 +796,6 @@ int CmdServe(std::vector<std::string> args) {
     }
     if (args[i] == "--no-classification-memo") {
       source_options.classifier.enable_classification_memo = false;
-      continue;
-    }
-    if (args[i] == "--no-streaming-parse") {
-      source_options.streaming_parse = false;
       continue;
     }
     if (nonnegative_long("--auto-induce-threshold", &value)) {

@@ -5,9 +5,10 @@
 #
 #   * the fast path no longer classifies identically to the disabled
 #     fast path (outcome_mismatches != 0), or
-#   * the streaming parse path no longer ingests identically to the DOM
-#     reference path (ingest_outcome_mismatches != 0), on the repetitive
-#     corpus or on the miss-heavy drifting one
+#   * the streaming parse path no longer ingests identically to the
+#     reference path — the independent reference parser feeding
+#     Process(Document), memo off — on the repetitive corpus
+#     (ingest_outcome_mismatches != 0) or on the miss-heavy drifting one
 #     (miss_ingest_outcome_mismatches != 0; that leg's timings are
 #     reported with their spread but not gated), or
 #   * throughput regressed by more than 2x against the committed
@@ -82,7 +83,7 @@ awk -v cur="$current" -v base="$baseline" 'BEGIN {
   }
 }'
 
-# --- Parse-path ingest leg: streaming default vs DOM reference ----------
+# --- Parse-path ingest leg: streaming default vs reference path ---------
 
 ingest_current=$(json_field BENCH_classification.json ingest_docs_per_second)
 ingest_mismatches=$(json_field BENCH_classification.json ingest_outcome_mismatches)
@@ -93,7 +94,7 @@ if [ -n "$ingest_current" ]; then
        "baseline=${ingest_baseline:-none} mismatches=$ingest_mismatches"
 
   if [ "$ingest_mismatches" != "0" ]; then
-    echo "perf_smoke: FAIL — streaming ingest diverged from DOM reference" >&2
+    echo "perf_smoke: FAIL — streaming ingest diverged from the reference path" >&2
     exit 2
   fi
   # Baseline field may be absent until the first re-baselined commit.
@@ -110,7 +111,7 @@ else
   echo "perf_smoke: skipping ingest leg (no ingest fields in bench output)"
 fi
 
-# --- Miss-heavy leg: drifting stream, arena scoring vs DOM reference ----
+# --- Miss-heavy leg: drifting stream, streaming vs reference path ------
 
 CURRENT=BENCH_classification.json
 miss_mismatches=$(json_field $CURRENT miss_ingest_outcome_mismatches)
@@ -120,7 +121,7 @@ echo "perf_smoke: miss-heavy ns/doc" \
      "memo_hit_rate=$(json_field $CURRENT miss_memo_hit_rate)" \
      "mismatches=$miss_mismatches"
 if [ "$miss_mismatches" != "0" ]; then
-  echo "perf_smoke: FAIL — miss-heavy ingest diverged from DOM reference" >&2
+  echo "perf_smoke: FAIL — miss-heavy ingest diverged from the reference path" >&2
   exit 2
 fi
 
